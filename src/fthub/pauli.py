@@ -3,17 +3,22 @@
 A string is stored as (xmask, zmask) -> coefficient, representing
 ``coeff * X^xmask Z^zmask`` (Z applied first).  Y_q is ``i X_q Z_q``, so any
 Pauli word fits this form with a complex coefficient.  Products, sums and
-commutators stay in this representation; matrices and matvecs are produced
-on demand through :mod:`fthub.kernels`.
+commutators stay in this representation.  For numerics a sum is compiled on
+demand into one diagonal per X mask, ``op = sum_x X^x diag(d_x)`` with
+``d_x[i] = sum_z c_{x,z} (-1)^popcount(i & z)``; matvecs, dense matrices and
+the oracle's sector blocks are read off these groups.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-
 _TOL = 1e-14
+
+# parity of the low 16 bits; qubit counts are capped at 16 so one lookup suffices
+_PARITY16 = np.zeros(1 << 16, dtype=np.uint8)
+for _b in range(16):
+    _PARITY16[1 << _b:2 << _b] = _PARITY16[: 1 << _b] ^ 1
 
 
 def _parity(x: int) -> int:
@@ -125,20 +130,30 @@ class PauliSum:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return (self - self.dagger()).is_zero(tol)
 
-    # -- numeric backends ----------------------------------------------------------
-    def _arrays(self):
-        n = len(self.terms)
-        coeffs = np.empty(n, dtype=np.complex128)
-        xm = np.empty(n, dtype=np.int64)
-        zm = np.empty(n, dtype=np.int64)
-        for i, ((x, z), c) in enumerate(sorted(self.terms.items())):
-            coeffs[i], xm[i], zm[i] = c, x, z
-        return coeffs, xm, zm
+    # -- numeric form ----------------------------------------------------------------
+    def compile(self) -> dict:
+        """``{x: d_x}`` with ``op = sum_x X^x diag(d_x)`` (the diagonal acts
+        first); ``d_x`` is real when every coefficient of its group is."""
+        idx = np.arange(1 << self.n_qubits)
+        groups: dict = {}
+        for (x, z), c in self.terms.items():
+            col = c * (1.0 - 2.0 * _PARITY16[idx & z])
+            groups[x] = groups[x] + col if x in groups else col
+        return groups
 
     def matvec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        coeffs, xm, zm = self._arrays()
-        return kernels.apply_pauli_sum(coeffs, xm, zm, np.ascontiguousarray(vec), out)
+        """out += op |vec> (a fresh complex vector when ``out`` is None)."""
+        if out is None:
+            out = np.zeros(vec.shape, dtype=np.complex128)
+        idx = np.arange(vec.shape[0])
+        for x, d in self.compile().items():
+            out[idx ^ x] += d * vec
+        return out
 
     def to_dense(self) -> np.ndarray:
-        coeffs, xm, zm = self._arrays()
-        return kernels.pauli_sum_dense(coeffs, xm, zm, self.n_qubits)
+        dim = 1 << self.n_qubits
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        idx = np.arange(dim)
+        for x, d in self.compile().items():
+            mat[idx ^ x, idx] += d
+        return mat

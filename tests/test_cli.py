@@ -139,8 +139,8 @@ class TestVerify:
         import fthub.oracle as oracle
         real = oracle.verify_ff_norm
 
-        def corrupted(lattice, tau=1.0, tol=1e-8):
-            report = real(lattice, tau, tol)
+        def corrupted(lattice, tau=1.0):
+            report = real(lattice, tau)
             report["bound"] = report["bound"] * 0.5
             report["pass"] = abs(report["exact"] - report["bound"]) <= 1e-8
             return report

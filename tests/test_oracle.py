@@ -5,10 +5,12 @@ import pytest
 import scipy.linalg
 
 from fthub.freefermion import ff_norm
+from fthub import oracle
 from fthub.lattice import LatticeGraph, SiteInfo, ring_lattice
-from fthub.oracle import (SizeLimitError, core_block, dense_expm_hermitian,
-                          exact_spectral_norm, jw_hamiltonian, jw_hopping,
-                          jw_onsite, jw_tile_local, run_suite, slater_rotation,
+from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
+                          dense_expm_hermitian, exact_spectral_norm,
+                          jw_hamiltonian, jw_hopping, jw_neighbor, jw_onsite,
+                          jw_tile_local, number_op, run_suite, slater_rotation,
                           transfer_term, verify_chemical_shifts,
                           verify_commutator_bounds, verify_commutator_rules,
                           verify_tile_evolution, verify_trotter_step)
@@ -76,8 +78,6 @@ class TestSpectralNorm:
         op = op + op.dagger()
         expected = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
         assert exact_spectral_norm(op) == pytest.approx(expected, rel=1e-8)
-        assert exact_spectral_norm(op, method="power") == pytest.approx(
-            expected, rel=1e-6)
 
     def test_hexagon_hopping_norm(self, hexagon):
         h = jw_hopping(hexagon, 1.0)
@@ -88,18 +88,72 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             exact_spectral_norm(PauliSum.from_word(2, {0: "X"}, 1j))
 
-    def test_difference_norm_matches_svd(self):
-        from fthub.oracle import spectral_norm_of_difference
-        rng = np.random.default_rng(4)
-        a, _ = np.linalg.qr(rng.standard_normal((32, 32))
-                            + 1j * rng.standard_normal((32, 32)))
-        b, _ = np.linalg.qr(rng.standard_normal((32, 32))
-                            + 1j * rng.standard_normal((32, 32)))
-        got = spectral_norm_of_difference(
-            lambda v: a @ v, lambda v: b @ v,
-            lambda v: a.conj().T @ v, lambda v: b.conj().T @ v, 32)
-        expected = np.linalg.svd(a - b, compute_uv=False)[0]
-        assert got == pytest.approx(expected, rel=1e-8)
+
+class TestSectorBlocks:
+    """The exact norm engine: dense eigensolves of the conserved
+    (N_up, N_down) blocks, or of one block when an operator mixes them."""
+
+    @pytest.mark.parametrize("u,v", [(4.0, 0.0), (4.0, 2.0), (1.0, 3.0)])
+    def test_nested_commutators_match_dense(self, ring4, u, v):
+        h_h = jw_hopping(ring4, 1.0)
+        h_i = jw_onsite(ring4, u)
+        h_v = jw_neighbor(ring4, v)
+        h_c = h_i + h_v
+        for a, b, c in ((h_c, h_h, h_c), (h_i, h_h, h_h), (h_v, h_h, h_h)):
+            nested = a.commutator(b).commutator(c)
+            expected = np.abs(np.linalg.eigvalsh(nested.to_dense())).max()
+            assert exact_spectral_norm(nested) == pytest.approx(
+                expected, rel=1e-10, abs=1e-12)
+
+    def test_tight_chc_at_zero_v(self, ring4):
+        params = ModelParams("extended_hubbard", tau=1.0, u=4.0, v=0.0)
+        chc = next(r for r in verify_commutator_bounds(ring4, params)
+                   if r["check"] == "comm_CHC")
+        assert chc["exact"] / chc["bound"] == pytest.approx(1.0, rel=1e-10)
+        assert chc["pass"]
+
+    def test_odd_qubit_count_covers_every_state(self):
+        # the all-occupied state has N_up = 3, N_down = 2 on five qubits
+        total = PauliSum(5)
+        for q in range(5):
+            total = total + number_op(5, q)
+        assert exact_spectral_norm(total) == pytest.approx(5.0, rel=1e-12)
+
+    def test_non_conserving_operator_matches_dense(self):
+        rng = np.random.default_rng(13)
+        op = PauliSum(5, {(1, 0): 0.7})     # X_0 changes N_up
+        for _ in range(12):
+            op = op + PauliSum(5, {(int(rng.integers(32)), int(rng.integers(32))):
+                                   complex(*rng.standard_normal(2))})
+        op = op + op.dagger()
+        expected = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
+        assert exact_spectral_norm(op) == pytest.approx(expected, rel=1e-10)
+
+    def test_leaking_section_rejected(self, hexagon, hexagon_cover,
+                                      hubbard_params, monkeypatch):
+        real = oracle.jw_section
+
+        def with_lone_xx(lattice, cover, s, tau):
+            # XX on both spin orbitals of site 0 changes N_up and N_down
+            return real(lattice, cover, s, tau) + PauliSum(
+                2 * lattice.n_sites, {(0b11, 0): 0.3})
+
+        monkeypatch.setattr(oracle, "jw_section", with_lone_xx)
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        with pytest.raises(ValueError, match="section 0 is not block diagonal"):
+            verify_trotter_step(hexagon, hexagon_cover, hubbard_params,
+                                (0.1,), bd)
+
+    def test_block_cap(self, monkeypatch):
+        assert MAX_BLOCK == 4900
+
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(oracle, "_block", no_block)
+        op = PauliSum(13, {(1, 0): 1.0, (0, 2): 0.5})   # X_0 mixes sectors
+        with pytest.raises(SizeLimitError):
+            exact_spectral_norm(op)
 
 
 class TestTileEvolution:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fthub.pauli import PauliSum
+from fthub.pauli import _PARITY16, PauliSum
 
 
 def random_sum(n_qubits, n_terms, seed):
@@ -78,3 +78,23 @@ class TestMatvec:
         out = np.ones(4, dtype=complex)
         op.matvec(v, out)
         assert np.allclose(out, 1 + op.to_dense() @ v)
+
+
+class TestDense:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_dense_matches_matvec_on_basis(self, seed):
+        op = random_sum(4, 8, seed)
+        mat = op.to_dense()
+        for col in range(16):
+            basis = np.zeros(16, dtype=complex)
+            basis[col] = 1.0
+            assert np.abs(mat[:, col] - op.matvec(basis)).max() < 1e-13
+
+
+class TestParityTable:
+    def test_parity_values(self):
+        for x in (0, 1, 3, 0b1011, 0xFFFF):
+            assert _PARITY16[x] == bin(x).count("1") % 2
+            # the compiled diagonal of Z^x carries the same parity sign
+            diag = PauliSum(16, {(0, x): 1.0}).compile()[0]
+            assert diag[x] == (-1) ** bin(x).count("1")
