@@ -8,11 +8,11 @@ from .lattice import (LatticeGraph, LatticeError, build_hex_fragment,
 from .tiling import (CoverError, SectionCover, Tile, cover_from_json,
                      cover_hex_fragment, cover_periodic_hex, cover_tile_census,
                      cover_to_json, tile_catalog, validate_cover)
-from .freefermion import CouplingMatrix, ff_comm_norm, ff_norm, schatten1, star_matrix
+from .freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
+                          star_matrix, translation_blocks, translation_periods)
 from .trotterbounds import (BoundUnsupportedError, ModelParams,
-                            TrotterErrorBreakdown, w_h_general,
-                            w_h_three_sections, w_so2_extended, w_so2_hubbard,
-                            w_tile)
+                            TrotterErrorBreakdown, w_h, w_so2_extended,
+                            w_so2_hubbard, w_tile)
 from .gatecount import (StepCost, step_cost_fragment, step_cost_periodic_extended,
                         step_cost_periodic_hubbard, step_cost_ppp, tile_gate_cost)
 from .qubitization import (WalkCosts, element_ledger, lambda_hubbard,

@@ -29,7 +29,7 @@ from .gatecount import (step_cost_fragment, step_cost_periodic_extended,
 from .lattice import (build_hex_fragment, build_periodic_hex,
                       build_square_fragment, lattice_to_json)
 from .oracle import run_suite
-from .qpe import crossover_sweep, hubbard_step, rows_to_csv
+from .qpe import alpha_to_m, crossover_sweep, hubbard_step, rows_to_csv
 from .tiling import (cover_from_json, cover_hex_fragment, cover_periodic_hex,
                      cover_to_json, validate_cover)
 from .trotterbounds import ModelParams, w_tile
@@ -68,7 +68,7 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     cfg = load_config(args.config)
     for key, value in cfg.items():
         if not hasattr(args, key):
-            raise SystemExit(2)
+            raise ValueError(f"unknown config key {key!r}")
         # a flag equal to its default is overridden by the config file
         if getattr(args, key) == getattr(defaults, key, None):
             kind = type(getattr(defaults, key)) if getattr(defaults, key) is not None else str
@@ -195,11 +195,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_gates(args) -> int:
     n = 2 * args.L * args.L
+    m = alpha_to_m(n, args.alpha)
     if args.model == "ppp":
         step = step_cost_ppp(n, hwp=args.alpha != "0")
     elif args.lattice == "periodic_hex":
-        m = 1 if args.alpha == "0" else {
-            "N/4-1": n // 4, "N/2-1": n // 2, "N-1": n}[args.alpha]
         step = (step_cost_periodic_hubbard(n, m) if args.model == "hubbard"
                 else step_cost_periodic_extended(n, m))
     else:
@@ -281,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage message (or the help text)
+        return 0 if exc.code in (0, None) else 2
     try:
         args = _merge_config(args, parser)
         return args.func(args)

@@ -14,6 +14,7 @@ site belongs to at least one complete hexagonal face.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -52,11 +53,13 @@ class LatticeGraph:
         if not np.isin(a, (0, 1)).all():
             raise LatticeError("adjacency entries must be 0/1")
 
-    @property
-    def edges(self) -> list:
-        """Sorted list of (i, j) with i < j."""
-        ii, jj = np.nonzero(np.triu(self.adjacency))
-        return sorted(zip(ii.tolist(), jj.tolist()))
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """Sorted (i, j) pairs with i < j; computed once, as it scans the
+        dense adjacency."""
+        ii, jj = np.divmod(np.flatnonzero(self.adjacency), self.n_sites)
+        upper = ii < jj
+        return tuple(sorted(zip(ii[upper].tolist(), jj[upper].tolist())))
 
     @property
     def n_edges(self) -> int:

@@ -20,7 +20,7 @@ from .freefermion import ff_comm_norm, ff_norm, schatten1, star_matrix
 from .lattice import LatticeGraph, regular_degree
 from .pauli import PauliSum
 from .tiling import SectionCover, chain_rotation, tile_catalog
-from .trotterbounds import ModelParams, TrotterErrorBreakdown
+from .trotterbounds import ModelParams, TrotterErrorBreakdown, _star_norms
 
 MAX_QUBITS = 16
 # largest block the exact layer diagonalizes: the half-filled sector of a
@@ -354,25 +354,6 @@ def verify_tile_evolution(kind: str, tau: float, t: float) -> dict:
 # commutator bound dominance
 
 
-def star_norm_summary(lattice: LatticeGraph, tau: float) -> dict:
-    """Single-sector star norms at a representative site of a regular lattice."""
-    k = regular_degree(lattice)
-    if k is None:
-        raise ValueError("lattice must be k-regular")
-    full = lattice.adjacency.astype(float)
-    s_k = star_matrix(lattice, 0, tau=tau)
-    out = {"k": k,
-           "norm_k": ff_norm(s_k, sectors=1),
-           "comm_k": ff_comm_norm(s_k, full, sectors=1) * tau,
-           "norm_km1": 0.0, "comm_km1": 0.0}
-    for j in lattice.neighbors(0):
-        s = star_matrix(lattice, 0, exclude=j, tau=tau)
-        out["norm_km1"] = max(out["norm_km1"], ff_norm(s, sectors=1))
-        out["comm_km1"] = max(out["comm_km1"],
-                              ff_comm_norm(s, full, sectors=1) * tau)
-    return out
-
-
 def _bound_chc(lattice: LatticeGraph, u: float, v: float, tau: float) -> float:
     k = regular_degree(lattice)
     r1 = schatten1(lattice.adjacency)
@@ -392,7 +373,7 @@ def _bound_ihh(lattice: LatticeGraph, u: float, tau: float) -> float:
 
 
 def _bound_vhh(lattice: LatticeGraph, v: float, tau: float) -> float:
-    s = star_norm_summary(lattice, tau)
+    s = _star_norms(lattice, tau)
     return v * s["k"] * lattice.n_sites * (
         s["comm_km1"] + 4 * s["norm_km1"]**2 + s["comm_k"] + 2 * s["norm_k"]**2)
 

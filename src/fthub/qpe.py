@@ -133,7 +133,8 @@ def qubitized_qpe(walk: WalkCosts, eps: float) -> QpeEstimate:
 # sweeps
 
 
-def _alpha_to_m(n: int, alpha_rule: str) -> int:
+def alpha_to_m(n: int, alpha_rule: str) -> int:
+    """Hamming-weight-phasing ancilla count m for an alpha rule of N sites."""
     if alpha_rule == "0":
         return 1
     if alpha_rule == "N/4-1":
@@ -146,7 +147,7 @@ def _alpha_to_m(n: int, alpha_rule: str) -> int:
 
 
 def hubbard_step(n: int, model: str, alpha_rule: str) -> StepCost:
-    m = _alpha_to_m(n, alpha_rule)
+    m = alpha_to_m(n, alpha_rule)
     if model == "hubbard":
         return step_cost_periodic_hubbard(n, m)
     if model == "extended_hubbard":

@@ -6,6 +6,20 @@ sections.  Both are rigorous upper bounds; ``w_so2`` comes from closed-form
 nested-commutator bounds, ``w_h`` from Schatten norms of section adjacency
 commutators.
 
+The section adjacencies and the lattice adjacency are taken as Bloch
+blocks (``freefermion.translation_blocks``): for the periodic three-section
+cover the supercell is 4 x 2 cells when L = 0 (mod 4) and L x 2 cells when
+L = 2 (mod 4), and the full lattice has a 1 x 1 cell, so its Schatten norm
+comes from 2 x 2 blocks.  Nested commutators and their Schatten norms are
+taken block by block in one routine, ``_nested_schatten``, at O(K d^3) cost
+for K blocks of size d instead of O(N^3).  The star commutators [S, R] are
+supported on the 2-hop ball around the star's site (at most
+1 + k + k(k - 1) sites) and are evaluated there exactly.  A lattice or
+cover without the symmetry (fragments, most manual covers) is a single
+block, the dense matrix; so is a lattice of at most
+``freefermion.DENSE_MAX_SITES`` sites, which keeps the outputs pinned by the
+reference data bit-identical.
+
 On 3-regular lattices the neighbor-interaction bound is pinned to the
 tabulated constant 3*V*tau^2*N*(16 + 2*sqrt(3)) that the reference
 error-norm table is built on.  A strict evaluation of the same bound through
@@ -17,11 +31,13 @@ the substitution is auditable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freefermion import ff_comm_norm, ff_norm, schatten1, star_matrix
+from .freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
+                          translation_blocks)
 from .lattice import LatticeGraph, regular_degree
 from .tiling import SectionCover
 
@@ -48,6 +64,9 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        values = (self.tau, self.u, self.v) + tuple(self.v_table or ())
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("model parameters must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.u < 0 or self.v < 0:
@@ -76,6 +95,11 @@ class TrotterErrorBreakdown:
 # Coulomb/hopping split
 
 
+def _adjacency_schatten1(lattice: LatticeGraph) -> float:
+    """|R|_1 of the lattice adjacency, summed over its translation blocks."""
+    return schatten1(translation_blocks(lattice, [lattice.edges]))
+
+
 def w_so2_hubbard(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBreakdown:
     """Coulomb/hopping split error norm for the on-site model.
 
@@ -95,7 +119,7 @@ def w_so2_hubbard(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBre
         n_c, n_ed = n, 0
     else:
         n_c, n_ed = lattice.n_center, lattice.n_edge_sites
-    r1 = schatten1(lattice.adjacency)
+    r1 = _adjacency_schatten1(lattice)
     comm_ihh = u * tau**2 * (12 * n_c + 8 * n_ed + SQRT6 * n)
     comm_chc = u**2 * tau * r1
     w = comm_ihh / 12.0 + comm_chc / 24.0
@@ -109,17 +133,32 @@ def w_so2_hubbard(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBre
 def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
     """Single-sector norms of the k- and (k-1)-edge local hopping stars, and of
     their commutators with the full hopping Hamiltonian, at a representative
-    site (the lattice must be regular, making the values site independent)."""
+    site (the lattice must be regular, making the values site independent).
+
+    A star S at site 0 lives on the site and its neighbors, so [S, R] is
+    nonzero only on the 2-hop ball around site 0 and needs only the entries
+    of R inside it: both norms are evaluated exactly on that ball."""
     k = regular_degree(lattice)
     if k is None:
         raise BoundUnsupportedError("star norms need a k-regular lattice")
-    full = lattice.adjacency.astype(float)
-    s_k = star_matrix(lattice, 0, tau=tau)
+    near = lattice.neighbors(0)
+    rest = {j for i in near for j in lattice.neighbors(i)} - {0, *near}
+    ball = [0] + near + sorted(rest)
+    full = lattice.adjacency[np.ix_(ball, ball)].astype(float)
+
+    def star(exclude=None):
+        mat = np.zeros_like(full)
+        mat[0, 1:k + 1] = mat[1:k + 1, 0] = 1
+        if exclude is not None:
+            mat[0, exclude] = mat[exclude, 0] = 0
+        return CouplingMatrix(mat, tau)
+
+    s_k = star()
     norm_k = ff_norm(s_k, sectors=1)
     comm_k = ff_comm_norm(s_k, full, sectors=1) * tau
     norm_km1 = comm_km1 = 0.0
-    for j in lattice.neighbors(0):
-        s = star_matrix(lattice, 0, exclude=j, tau=tau)
+    for j in range(1, k + 1):
+        s = star(exclude=j)
         norm_km1 = max(norm_km1, ff_norm(s, sectors=1))
         comm_km1 = max(comm_km1, ff_comm_norm(s, full, sectors=1) * tau)
     return {"k": k, "norm_k": norm_k, "comm_k": comm_k,
@@ -136,7 +175,7 @@ def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBr
         raise BoundUnsupportedError("extended-model bound needs a k-regular lattice")
     u, v, tau = params.u, params.v, params.tau
     n = lattice.n_sites
-    r1 = schatten1(lattice.adjacency)
+    r1 = _adjacency_schatten1(lattice)
 
     comm_chc = ((u**2 + k * v**2) * tau * r1
                 + ((4 * k - 2) * tau * u * v + (k - 1) * (4 * k - 1) * tau * v**2) * k * n)
@@ -170,45 +209,30 @@ def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBr
 
 
 def _nested_schatten(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """|[[A, B], C]|_1 from stacks of matching Hermitian blocks of A, B, C."""
     inner = a @ b - b @ a
     return schatten1(inner @ c - c @ inner)
 
 
-def w_h_three_sections(cover: SectionCover, tau: float) -> float:
-    """Hopping-split error norm for an ordered three-section cover."""
-    if cover.n_sections != 3:
-        raise ValueError(f"expected 3 sections, got {cover.n_sections}")
-    rb, rr, rg = (cover.section_adjacency(s) for s in range(3))
-    t12 = (_nested_schatten(rb, rr, rr) + _nested_schatten(rb, rr, rg)
-           + _nested_schatten(rb, rg, rr) + _nested_schatten(rb, rg, rg)
-           + _nested_schatten(rr, rg, rg))
-    t24 = (_nested_schatten(rb, rr, rb) + _nested_schatten(rb, rg, rb)
-           + _nested_schatten(rr, rg, rr))
-    return tau**3 * (t12 / 12.0 + t24 / 24.0)
+def w_h(cover: SectionCover, tau: float) -> float:
+    """Section-split error norm for an ordered cover with any number of
+    sections, the inner sums bounded term by term:
 
-
-def w_h_general(cover: SectionCover, tau: float) -> float:
-    """Section-split error norm for any number of sections, with the inner sums
-    bounded term by term (matches the three-section formula at S=3)."""
-    mats = [cover.section_adjacency(s) for s in range(cover.n_sections)]
-    total = 0.0
-    m = len(mats)
+        tau^3 (T12 / 12 + T24 / 24),
+        T12 = sum_{b < c} sum_{a > b} |[[R_b, R_c], R_a]|_1,
+        T24 = sum_{b < c} |[[R_b, R_c], R_b]|_1.
+    """
+    blocks = translation_blocks(
+        cover.lattice, [[e for tile in sec.tiles for e in tile.edges]
+                        for sec in cover.sections])
+    t12 = t24 = 0.0
+    m = len(blocks)
     for b in range(m):
         for c in range(b + 1, m):
-            for a in range(b, m):
-                if a == b:
-                    total += _nested_schatten(mats[b], mats[c], mats[b]) / 24.0
-                else:
-                    total += _nested_schatten(mats[b], mats[c], mats[a]) / 12.0
-    return tau**3 * total
-
-
-def w_h(cover: SectionCover, tau: float) -> float:
-    if cover.n_sections == 1:
-        return 0.0
-    if cover.n_sections == 3:
-        return w_h_three_sections(cover, tau)
-    return w_h_general(cover, tau)
+            t24 += _nested_schatten(blocks[b], blocks[c], blocks[b])
+            for a in range(b + 1, m):
+                t12 += _nested_schatten(blocks[b], blocks[c], blocks[a])
+    return tau**3 * (t12 / 12.0 + t24 / 24.0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +241,27 @@ def w_h(cover: SectionCover, tau: float) -> float:
 
 def w_tile(lattice: LatticeGraph, cover: SectionCover, params: ModelParams
            ) -> TrotterErrorBreakdown:
-    """Total tile-step error norm: Coulomb/hopping split plus section split."""
+    """Total tile-step error norm: Coulomb/hopping split plus section split.
+
+    Raises ``ValueError`` when the norm overflows a float, so no caller sees
+    an infinite or NaN result."""
     if params.model == "hubbard":
-        breakdown = w_so2_hubbard(lattice, params)
+        w_so2 = w_so2_hubbard
     elif params.model == "extended_hubbard":
-        breakdown = w_so2_extended(lattice, params)
+        w_so2 = w_so2_extended
     else:
         raise BoundUnsupportedError(
             "no error-norm bound is implemented for the ppp model")
-    breakdown.w_h = w_h(cover, params.tau)
+    try:
+        # an overflow is reported below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            breakdown = w_so2(lattice, params)
+            breakdown.w_h = w_h(cover, params.tau)
+        finite = math.isfinite(breakdown.w_tile)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("error norm overflows for these parameters")
     breakdown.components["w_h"] = breakdown.w_h
     breakdown.components["n_sections"] = cover.n_sections
     return breakdown

@@ -13,7 +13,7 @@ from fthub.lattice import build_periodic_hex, ring_lattice, single_hexagon
 from fthub.oracle import (verify_chemical_shifts, verify_commutator_bounds,
                           verify_commutator_rules, verify_ff_norm,
                           verify_tile_evolution, verify_trotter_step)
-from fthub.qpe import hubbard_step, qubitized_qpe, trotter_qpe
+from fthub.qpe import alpha_to_m, hubbard_step, qubitized_qpe, trotter_qpe
 from fthub.qubitization import (element_ledger, ledger_prepare_t, prepare_cost,
                                 reflection_cost, select_cost, walk_costs,
                                 walk_qubits)
@@ -61,8 +61,7 @@ def test_criterion_1_error_norm_table(periodic_sweep):
                    else step_cost_periodic_extended)
         for rule in ALPHA_RULES:
             for idx, n in enumerate(TABLE_N):
-                m = {"0": 1, "N/4-1": n // 4, "N/2-1": n // 2, "N-1": n}[rule]
-                step = step_of(n, m)
+                step = step_of(n, alpha_to_m(n, rule))
                 ref = STEP_TABLE[model][rule]
                 gates_exact &= (step.n_qubits == ref["n_qubits"][idx]
                                 and step.n_rot == ref["n_rot"][idx]

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fthub import cli
 
@@ -118,6 +120,35 @@ class TestSmallCommands:
         cfg.write_text("no equals sign here\n")
         assert run_cli(["bounds", "--config", str(cfg)]) == 2
 
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("foo=1\n")
+        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+        assert "error: unknown config key 'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--tau", "nan"), ("--U", "inf"),
+                                            ("--V", "-inf")])
+    def test_nonfinite_bounds_input_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bounds.json"
+        assert run_cli(["bounds", "--model", "extended_hubbard",
+                        f"{flag}={value}", "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_bounds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "bounds.json"
+        assert run_cli(["bounds", "--tau", "1e200", "--out", str(out)]) == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_alpha_rule_exit_2(self, capsys):
+        assert run_cli(["gates", "--alpha", "foo"]) == 2
+        assert "unknown alpha rule" in capsys.readouterr().err
+
+    def test_bad_flag_value_returns_2(self, capsys):
+        assert run_cli(["bounds", "--tau", "abc"]) == 2
+        assert "invalid float value" in capsys.readouterr().err
+
     def test_invalid_model_lattice_combo_exit_2(self, tmp_path):
         out = tmp_path / "x.json"
         code = run_cli(["bounds", "--lattice", "hex_fragment",
@@ -151,3 +182,17 @@ class TestVerify:
         doc = json.loads(out.read_text())
         failing = [r["check"] for r in doc["reports"] if not r["pass"]]
         assert "ff_norm" in failing
+
+
+class TestFuzz:
+    @given(st.sampled_from(["gates", "bounds"]),
+           st.sampled_from(["--alpha", "--tau", "--U"]),
+           st.one_of(st.text(max_size=12),
+                     st.sampled_from(["0", "N-1", "N/4-1", "-1", "1e308",
+                                      "1e200", "nan", "-inf", "0.5"])))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_main_never_raises(self, capsys, command, flag, value):
+        code = run_cli([command, "--L", "4", f"{flag}={value}"])
+        capsys.readouterr()
+        assert code in (0, 1, 2)

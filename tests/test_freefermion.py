@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fthub.freefermion import (CouplingMatrix, ff_comm_norm, ff_nested_comm_norm,
-                               ff_norm, schatten1, star_matrix)
-from fthub.tiling import tile_catalog
+from fthub import freefermion
+from fthub.freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
+                               star_matrix, translation_blocks)
+from fthub.lattice import build_periodic_hex
+from fthub.tiling import cover_periodic_hex, tile_catalog
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -38,6 +40,14 @@ class TestSchatten1:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             schatten1(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    def test_stack_sums_blocks(self):
+        blocks = np.array([np.eye(2), [[0.0, 1j], [-1j, 0.0]]])
+        assert schatten1(blocks) == pytest.approx(4.0)
+
+    def test_rejects_non_hermitian_complex(self):
+        with pytest.raises(ValueError):
+            schatten1(np.array([[0.0, 1j], [1j, 0.0]]))
 
     @given(hnp.arrays(np.float64, (5, 5), elements=st.floats(-10, 10)),
            hnp.arrays(np.float64, (5, 5), elements=st.floats(-10, 10)))
@@ -137,13 +147,27 @@ class TestCommNorms:
         assert ff_comm_norm(a, b) == pytest.approx(
             6.0 * ff_comm_norm(a.matrix, b.matrix))
 
-    def test_nested_commutator(self, ring6):
-        r = ring6.adjacency.astype(float)
-        s = star_matrix(ring6, 0).matrix
-        inner = s @ r - r @ s
-        nested = inner @ r - r @ inner
-        assert ff_nested_comm_norm(s, r, r) == pytest.approx(0.5 * schatten1(nested))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ff_comm_norm(np.eye(2), np.eye(3))
+
+
+class TestTranslationBlocks:
+    @pytest.mark.parametrize("l", [4, 6])
+    def test_blocks_carry_the_dense_spectrum(self, monkeypatch, l):
+        # the lattice (1 x 1 cell) and the cover sections (4 x 2 or L x 2
+        # supercell): each set's blocks are Hermitian and their spectra,
+        # taken together, are the spectrum of the dense matrix
+        monkeypatch.setattr(freefermion, "DENSE_MAX_SITES", 0)
+        lattice = build_periodic_hex(l, l)
+        cover = cover_periodic_hex(lattice)
+        cases = [(translation_blocks(lattice, [lattice.edges])[0],
+                  lattice.adjacency.astype(float))]
+        sections = translation_blocks(lattice, [
+            [e for tile in sec.tiles for e in tile.edges] for sec in cover.sections])
+        cases += [(sections[s], cover.section_adjacency(s))
+                  for s in range(cover.n_sections)]
+        for blocks, dense in cases:
+            assert np.allclose(blocks, np.conj(blocks).swapaxes(-1, -2))
+            assert np.allclose(np.sort(np.linalg.eigvalsh(blocks).ravel()),
+                               np.linalg.eigvalsh(dense), atol=1e-12)

@@ -1,13 +1,18 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fthub.freefermion import schatten1
-from fthub.lattice import build_periodic_hex
-from fthub.tiling import Section, SectionCover, Tile, cover_periodic_hex
-from fthub.trotterbounds import (BoundUnsupportedError, ModelParams,
-                                 w_h, w_h_general, w_h_three_sections,
+from fthub import freefermion, trotterbounds
+from fthub.freefermion import (ff_comm_norm, ff_norm, schatten1, star_matrix,
+                               translation_blocks, translation_periods)
+from fthub.lattice import build_periodic_hex, hex_site_index
+from fthub.tiling import (Section, SectionCover, Tile, cover_from_json,
+                          cover_hex_fragment, cover_periodic_hex, cover_to_json,
+                          validate_cover)
+from fthub.trotterbounds import (BoundUnsupportedError, ModelParams, w_h,
                                  w_so2_extended, w_so2_hubbard, w_tile)
 
 SQRT3 = math.sqrt(3.0)
@@ -18,10 +23,83 @@ SQRT6 = math.sqrt(6.0)
 W_H_44 = 26.538265979130678
 
 
+def _dense_nested(a, b, c):
+    inner = a @ b - b @ a
+    return schatten1(inner @ c - c @ inner)
+
+
+def _dense_w_h(cover, tau):
+    """w_h from the N x N section adjacencies."""
+    mats = [cover.section_adjacency(s) for s in range(cover.n_sections)]
+    total = 0.0
+    for b in range(len(mats)):
+        for c in range(b + 1, len(mats)):
+            for a in range(b, len(mats)):
+                total += _dense_nested(mats[b], mats[c], mats[a]) / (
+                    24.0 if a == b else 12.0)
+    return tau**3 * total
+
+
+def _dense_star_norms(lattice, tau):
+    """Star norms from N x N star and hopping matrices."""
+    full = lattice.adjacency.astype(float)
+    s_k = star_matrix(lattice, 0, tau=tau)
+    out = {"k": len(lattice.neighbors(0)), "norm_k": ff_norm(s_k, sectors=1),
+           "comm_k": ff_comm_norm(s_k, full, sectors=1) * tau,
+           "norm_km1": 0.0, "comm_km1": 0.0}
+    for j in lattice.neighbors(0):
+        s = star_matrix(lattice, 0, exclude=j, tau=tau)
+        out["norm_km1"] = max(out["norm_km1"], ff_norm(s, sectors=1))
+        out["comm_km1"] = max(out["comm_km1"],
+                              ff_comm_norm(s, full, sectors=1) * tau)
+    return out
+
+
+def _dense_breakdown(monkeypatch, lattice, cover, params):
+    """w_tile with every norm taken from dense N x N matrices."""
+    with monkeypatch.context() as m:
+        m.setattr(trotterbounds, "_adjacency_schatten1",
+                  lambda lat: schatten1(lat.adjacency))
+        m.setattr(trotterbounds, "_star_norms", _dense_star_norms)
+        m.setattr(trotterbounds, "w_h", _dense_w_h)
+        return w_tile(lattice, cover, params)
+
+
+def _assert_matches_dense(monkeypatch, lattice, cover, params):
+    got = w_tile(lattice, cover, params)
+    ref = _dense_breakdown(monkeypatch, lattice, cover, params)
+    assert sorted(got.components) == sorted(ref.components)
+    for key, value in ref.components.items():
+        assert got.components[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+    assert got.w_h == pytest.approx(ref.w_h, rel=1e-12, abs=1e-12)
+    assert got.w_tile == pytest.approx(ref.w_tile, rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _periodic(l):
+    lattice = build_periodic_hex(l, l)
+    return lattice, cover_periodic_hex(lattice)
+
+
+def _section_edges(cover):
+    return [[e for tile in sec.tiles for e in tile.edges]
+            for sec in cover.sections]
+
+
 class TestModelParams:
     def test_rejects_bad_model(self):
         with pytest.raises(ValueError):
             ModelParams("heisenberg")
+
+    @pytest.mark.parametrize("name", ["tau", "u", "v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams("extended_hubbard", **{name: value})
+
+    def test_rejects_nonfinite_v_table(self):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams("ppp", u=4.0, v_table=(1.0, math.nan))
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
@@ -101,17 +179,27 @@ class TestWh:
         tiles = cover44.sections[0].tiles
         fake = SectionCover(hex44, (Section("blue", tiles), Section("red", tiles),
                                     Section("gold", tiles)))
-        assert w_h_three_sections(fake, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert w_h(fake, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_value(self, cover44):
-        assert w_h_three_sections(cover44, 1.0) == pytest.approx(W_H_44, rel=1e-12)
+        assert w_h(cover44, 1.0) == pytest.approx(W_H_44, rel=1e-12)
 
     def test_tau_cubed_scaling(self, cover44):
-        assert w_h_three_sections(cover44, 2.0) == pytest.approx(8 * W_H_44, rel=1e-12)
+        assert w_h(cover44, 2.0) == pytest.approx(8 * W_H_44, rel=1e-12)
 
     def test_general_matches_three_sections(self, cover44):
-        assert w_h_general(cover44, 1.0) == pytest.approx(
-            w_h_three_sections(cover44, 1.0), rel=1e-12)
+        # the any-S sum at S = 3 is the ordered three-section formula; on a
+        # lattice of at most DENSE_MAX_SITES sites it is the dense
+        # evaluation bit for bit, which keeps pinned outputs unchanged
+        rb, rr, rg = (cover44.section_adjacency(s) for s in range(3))
+        t12 = (_dense_nested(rb, rr, rr) + _dense_nested(rb, rr, rg)
+               + _dense_nested(rb, rg, rr) + _dense_nested(rb, rg, rg)
+               + _dense_nested(rr, rg, rg))
+        t24 = (_dense_nested(rb, rr, rb) + _dense_nested(rb, rg, rb)
+               + _dense_nested(rr, rg, rr))
+        assert w_h(cover44, 1.0) == t12 / 12 + t24 / 24
+        assert trotterbounds._adjacency_schatten1(cover44.lattice) == schatten1(
+            cover44.lattice.adjacency)
 
     def test_two_sections_formula(self, hexagon, hexagon_cover):
         # S = 2: (1/12)||[[R1,R2],R2]||_1 + (1/24)||[[R1,R2],R1]||_1
@@ -120,15 +208,11 @@ class TestWh:
         inner = r1 @ r2 - r2 @ r1
         expected = (schatten1(inner @ r2 - r2 @ inner) / 12
                     + schatten1(inner @ r1 - r1 @ inner) / 24)
-        assert w_h_general(hexagon_cover, 1.0) == pytest.approx(expected)
+        assert w_h(hexagon_cover, 1.0) == pytest.approx(expected)
 
     def test_single_section_zero(self, hexagon):
         cover = SectionCover(hexagon, (Section("blue", (Tile("S1", (0, 1)),)),))
         assert w_h(cover, 1.0) == 0.0
-
-    def test_section_count_guard(self, hexagon_cover):
-        with pytest.raises(ValueError):
-            w_h_three_sections(hexagon_cover, 1.0)
 
     def test_linear_in_n(self):
         sizes, values = [], []
@@ -136,7 +220,7 @@ class TestWh:
             lat = build_periodic_hex(l, l)
             cover = cover_periodic_hex(lat)
             sizes.append(lat.n_sites)
-            values.append(w_h_three_sections(cover, 1.0))
+            values.append(w_h(cover, 1.0))
         slope, intercept = np.polyfit(sizes, values, 1)
         fitted = slope * np.array(sizes) + intercept
         ss_res = float(((np.array(values) - fitted) ** 2).sum())
@@ -168,3 +252,86 @@ class TestWtile:
     def test_json(self, hex44, cover44, hubbard_params):
         text = w_tile(hex44, cover44, hubbard_params).to_json()
         assert '"w_tile"' in text and '"comm_IHH_bound"' in text
+
+
+class TestTranslationBlocks:
+    """The blocked evaluation against dense N x N references."""
+
+    @pytest.fixture
+    def blocked(self, monkeypatch):
+        """Bloch blocks at every lattice size, not only above the dense
+        threshold."""
+        monkeypatch.setattr(freefermion, "DENSE_MAX_SITES", 0)
+
+    @pytest.mark.parametrize("l", range(4, 19, 2))
+    @pytest.mark.parametrize("model,v", [("hubbard", 0.0),
+                                         ("extended_hubbard", 1.5)])
+    def test_periodic_matches_dense(self, monkeypatch, blocked, l, model, v):
+        lattice, cover = _periodic(l)
+        params = ModelParams(model, tau=0.7, u=3.0, v=v)
+        assert translation_blocks(lattice, [lattice.edges]).shape == (
+            1, l * l, 2, 2)
+        _assert_matches_dense(monkeypatch, lattice, cover, params)
+
+    @pytest.mark.parametrize("l", [4, 6, 8, 10])
+    def test_periods_match_brute_force(self, l):
+        lattice, cover = _periodic(l)
+        edge_sets = _section_edges(cover)
+        wanted = [set(es) for es in edge_sets]
+
+        def maps_onto_itself(t_x, t_y):
+            def move(i):
+                s = lattice.site_info[i]
+                return hex_site_index(s.l_x + t_x, s.l_y + t_y, s.color, l, l)
+            return all({tuple(sorted((move(i), move(j)))) for i, j in es} == es
+                       for es in wanted)
+
+        p_x = min((t for t in range(1, l) if maps_onto_itself(t, 0)), default=l)
+        p_y = min((t for t in range(1, l) if maps_onto_itself(0, t)), default=l)
+        assert translation_periods(lattice, edge_sets) == (p_x, p_y)
+        assert (p_x, p_y) == ((4, 2) if l % 4 == 0 else (l, 2))
+        assert translation_periods(lattice, [lattice.edges]) == (1, 1)
+
+    def test_fragment_is_one_dense_block(self, monkeypatch, parallelogram,
+                                         hubbard_params):
+        cover = cover_hex_fragment(parallelogram)
+        blocks = translation_blocks(parallelogram, _section_edges(cover))
+        n = parallelogram.n_sites
+        assert blocks.shape == (cover.n_sections, 1, n, n)
+        for s in range(cover.n_sections):
+            assert np.array_equal(blocks[s, 0], cover.section_adjacency(s))
+        _assert_matches_dense(monkeypatch, parallelogram, cover, hubbard_params)
+
+    def test_manual_cover_round_trip(self, monkeypatch, blocked, hex44,
+                                     cover44, extended_params):
+        # split one blue S2 tile into an S1 tile kept in blue and an S1 tile
+        # in a fourth section: no translation maps the covers onto itself
+        doc = json.loads(cover_to_json(cover44))
+        centre, leaf_a, leaf_b = doc["sections"][0]["tiles"][0]["sites"]
+        doc["sections"][0]["tiles"][0] = {"kind": "S1", "sites": [centre, leaf_a]}
+        doc["sections"].append({"color": "extra", "tiles": [
+            {"kind": "S1", "sites": [centre, leaf_b]}]})
+        cover = cover_from_json(json.dumps(doc), hex44)
+        assert validate_cover(hex44, cover).valid
+        edge_sets = _section_edges(cover)
+        assert translation_periods(hex44, edge_sets) == (4, 4)
+        assert translation_blocks(hex44, edge_sets).shape[1] == 1
+        _assert_matches_dense(monkeypatch, hex44, cover, extended_params)
+        # and a round trip of the shipped cover keeps its blocks and value
+        same = cover_from_json(cover_to_json(cover44), hex44)
+        assert translation_blocks(hex44, _section_edges(same)).shape == (
+            3, 2, 16, 16)
+        assert w_h(same, 1.0) == pytest.approx(W_H_44, rel=1e-12)
+
+    def test_large_lattice_smoke(self):
+        lattice = build_periodic_hex(32, 32)
+        cover = cover_periodic_hex(lattice)
+        params = ModelParams("extended_hubbard", tau=1.0, u=4.0, v=2.0)
+        bd = w_tile(lattice, cover, params)
+        n = lattice.n_sites
+        assert n == 2048 > freefermion.DENSE_MAX_SITES
+        assert math.isfinite(bd.w_tile)
+        # the w_h density approaches its thermodynamic limit from below
+        assert bd.w_h / n == pytest.approx(0.8519, abs=1e-4)
+        assert bd.components["comm_VHH_bound"] == pytest.approx(
+            3 * 2.0 * n * (16 + 2 * SQRT3))
