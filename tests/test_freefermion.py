@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fthub import freefermion
+from fthub import freefermion, trotterbounds
 from fthub.freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
                                star_matrix, translation_blocks)
 from fthub.lattice import build_periodic_hex
@@ -146,6 +146,17 @@ class TestCommNorms:
         b = CouplingMatrix(star_matrix(ring6, 0).matrix, 3.0)
         assert ff_comm_norm(a, b) == pytest.approx(
             6.0 * ff_comm_norm(a.matrix, b.matrix))
+
+    def test_nested_commutator(self, ring6):
+        # the per-sector norm of [[S, R], R] is half its Schatten 1-norm
+        r = ring6.adjacency.astype(float)
+        s = star_matrix(ring6, 0).matrix
+        inner = s @ r - r @ s
+        nested = inner @ r - r @ inner
+        assert trotterbounds._nested_schatten(s, r, r) == pytest.approx(
+            schatten1(nested))
+        assert ff_norm(nested, sectors=1) == pytest.approx(
+            0.5 * trotterbounds._nested_schatten(s, r, r))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
