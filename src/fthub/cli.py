@@ -114,13 +114,10 @@ def cmd_table2(args) -> int:
     rows = []
     u, v, tau = (refdata.TABLE_PARAMS[k] for k in ("u", "v", "tau"))
     for model in ("hubbard", "extended_hubbard"):
-        params = ModelParams(model, tau=tau, u=u,
-                             v=v if model == "extended_hubbard" else 0.0)
+        w_by_n = _w_by_n(model, refdata.TABLE_L, u, v, tau)
         for idx, l in enumerate(refdata.TABLE_L):
-            lattice = build_periodic_hex(l, l)
-            cover = cover_periodic_hex(lattice)
-            n = lattice.n_sites
-            w = w_tile(lattice, cover, params).w_tile
+            n = 2 * l * l
+            w = w_by_n[n]
             ref = refdata.W_TILE[model][idx]
             rows.append({"model": model, "quantity": "w_tile", "alpha": "-",
                          "N": n, "computed": f"{w:.4f}",

@@ -10,11 +10,15 @@ C (y-neighbor) throughout the tiling code.
 Hexagonal fragments are described by a list of hexagon cells; sites and
 bonds are inherited from the infinite lattice, which guarantees that every
 site belongs to at least one complete hexagonal face.
+
+A lattice is stored as its edge list: the sorted tuple of distinct bonds
+(i, j) with i < j.  Degrees, neighbor lists and the edge count are computed
+from it, so memory grows with the number of bonds, not with N^2.  The dense
+N x N adjacency matrix is derived on request, for small lattices only.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -37,39 +41,39 @@ class SiteInfo:
 @dataclass(frozen=True, eq=False)
 class LatticeGraph:
     n_sites: int
-    adjacency: np.ndarray          # symmetric 0/1, zero diagonal
+    edges: tuple                   # sorted distinct (i, j) pairs, i < j
     site_info: tuple
     kind: str                      # periodic_hex | hex_fragment | square_fragment | custom
     dims: tuple | None = None      # (L_x, L_y) for periodic builds
 
     def __post_init__(self):
-        a = self.adjacency
-        if a.shape != (self.n_sites, self.n_sites):
-            raise LatticeError("adjacency shape mismatch")
-        if not np.array_equal(a, a.T):
-            raise LatticeError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise LatticeError("adjacency must have zero diagonal")
-        if not np.isin(a, (0, 1)).all():
-            raise LatticeError("adjacency entries must be 0/1")
+        n = self.n_sites
+        for i, j in self.edges:
+            if not (isinstance(i, (int, np.integer))
+                    and isinstance(j, (int, np.integer)) and 0 <= i < j < n):
+                raise LatticeError(f"edge ({i}, {j}) needs integers "
+                                   f"0 <= i < j < {n}")
+        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
+            raise LatticeError("edges must be sorted and distinct")
 
-    @functools.cached_property
-    def edges(self) -> tuple:
-        """Sorted (i, j) pairs with i < j; computed once, as it scans the
-        dense adjacency."""
-        ii, jj = np.divmod(np.flatnonzero(self.adjacency), self.n_sites)
-        upper = ii < jj
-        return tuple(sorted(zip(ii[upper].tolist(), jj[upper].tolist())))
+    @property
+    def adjacency(self) -> np.ndarray:
+        """Dense N x N 0/1 adjacency matrix, built from ``edges`` on every
+        access; meant for small lattices (exact checks, dense references)."""
+        adj = np.zeros((self.n_sites, self.n_sites), dtype=np.int64)
+        i, j = _edge_array(self.edges).T
+        adj[i, j] = adj[j, i] = 1
+        return adj
 
     @property
     def n_edges(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(int)
+        return _degrees(self.n_sites, self.edges)
 
     def neighbors(self, i: int) -> list:
-        return np.nonzero(self.adjacency[i])[0].tolist()
+        return sorted(b if a == i else a for a, b in self.edges if i in (a, b))
 
     @property
     def n_center(self) -> int:
@@ -78,6 +82,19 @@ class LatticeGraph:
     @property
     def n_edge_sites(self) -> int:
         return sum(1 for s in self.site_info if s.role == "edge")
+
+
+def _edge_array(edges) -> np.ndarray:
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _degrees(n: int, edges) -> np.ndarray:
+    return np.bincount(_edge_array(edges).ravel(), minlength=n)
+
+
+def _edge_tuple(pairs) -> tuple:
+    """Canonical edge tuple: each pair as (min, max), repeats dropped, sorted."""
+    return tuple(sorted({(min(i, j), max(i, j)) for i, j in pairs}))
 
 
 def degree_histogram(lattice: LatticeGraph) -> dict:
@@ -110,20 +127,17 @@ def build_periodic_hex(l_x: int, l_y: int) -> LatticeGraph:
         raise LatticeError("periodic hex needs l_x >= 2 and l_y >= 2 "
                            "(smaller tori create multi-edges)")
     n = 2 * l_x * l_y
-    adj = np.zeros((n, n), dtype=np.int64)
     info = []
     for m in range(l_y):
         for l in range(l_x):
             for c in (0, 1):
                 info.append(SiteInfo(hex_site_index(l, m, c, l_x, l_y), l, m, c, "center"))
-    for m in range(l_y):
-        for l in range(l_x):
-            i = hex_site_index(l, m, 0, l_x, l_y)
-            for dl, dm in ((0, 0), (-1, 0), (0, -1)):
-                j = hex_site_index(l + dl, m + dm, 1, l_x, l_y)
-                adj[i, j] = adj[j, i] = 1
+    edges = _edge_tuple((hex_site_index(l, m, 0, l_x, l_y),
+                         hex_site_index(l + dl, m + dm, 1, l_x, l_y))
+                        for m in range(l_y) for l in range(l_x)
+                        for dl, dm in ((0, 0), (-1, 0), (0, -1)))
     info.sort(key=lambda s: s.index)
-    return LatticeGraph(n, adj, tuple(info), "periodic_hex", (l_x, l_y))
+    return LatticeGraph(n, edges, tuple(info), "periodic_hex", (l_x, l_y))
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +177,26 @@ def build_hex_fragment(cells) -> LatticeGraph:
     index = {s: i for i, s in enumerate(order)}
     n = len(order)
 
-    adj = np.zeros((n, n), dtype=np.int64)
-    for s in order:
-        for t in _infinite_neighbors(s):
-            if t in index:
-                adj[index[s], index[t]] = adj[index[t], index[s]] = 1
+    edges = _edge_tuple((index[s], index[t]) for s in order
+                        for t in _infinite_neighbors(s) if t in index)
 
-    deg = adj.sum(axis=1)
+    deg = _degrees(n, edges)
     if deg.min() < 2 or deg.max() > 3:
         raise LatticeError("fragment has a site of degree outside {2, 3}")
 
     # connectivity of the cell patch, via site components
+    nbrs: list = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     seen = {0}
     stack = [0]
     while stack:
         i = stack.pop()
-        for j in np.nonzero(adj[i])[0]:
-            if int(j) not in seen:
-                seen.add(int(j))
-                stack.append(int(j))
+        for j in nbrs[i]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
     if len(seen) != n:
         raise LatticeError("fragment cells are not connected")
 
@@ -197,7 +212,7 @@ def build_hex_fragment(cells) -> LatticeGraph:
     info = tuple(SiteInfo(index[s], s[0], s[1], s[2],
                           "edge" if deg[index[s]] == 2 else "center")
                  for s in order)
-    return LatticeGraph(n, adj, info, "hex_fragment")
+    return LatticeGraph(n, edges, info, "hex_fragment")
 
 
 def single_hexagon() -> LatticeGraph:
@@ -209,32 +224,31 @@ def build_square_fragment(width: int, height: int) -> LatticeGraph:
     if width < 2 or height < 2:
         raise LatticeError("square fragment needs width, height >= 2")
     n = width * height
-    adj = np.zeros((n, n), dtype=np.int64)
+    pairs = []
     info = []
     for y in range(height):
         for x in range(width):
             i = x + y * width
             if x + 1 < width:
-                adj[i, i + 1] = adj[i + 1, i] = 1
+                pairs.append((i, i + 1))
             if y + 1 < height:
-                adj[i, i + width] = adj[i + width, i] = 1
-    deg = adj.sum(axis=1)
+                pairs.append((i, i + width))
+    edges = _edge_tuple(pairs)
+    deg = _degrees(n, edges)
     for y in range(height):
         for x in range(width):
             i = x + y * width
             info.append(SiteInfo(i, x, y, 0, "edge" if deg[i] == 2 else "center"))
-    return LatticeGraph(n, adj, tuple(info), "square_fragment", (width, height))
+    return LatticeGraph(n, edges, tuple(info), "square_fragment", (width, height))
 
 
 def ring_lattice(n: int) -> LatticeGraph:
     """n-site cycle (2-regular); used by the exact verification layer."""
     if n < 3:
         raise LatticeError("ring needs at least 3 sites")
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1
+    edges = _edge_tuple((i, (i + 1) % n) for i in range(n))
     info = tuple(SiteInfo(i, i, 0, 0, "center") for i in range(n))
-    return LatticeGraph(n, adj, info, "custom")
+    return LatticeGraph(n, edges, info, "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +267,14 @@ def lattice_to_json(lattice: LatticeGraph) -> str:
 
 
 def lattice_from_json(text: str) -> LatticeGraph:
+    """Lattice from its JSON document.  Reversed and repeated edge pairs are
+    accepted and canonicalised; a self-loop, or an index that is not an
+    integer in the site range, raises :class:`LatticeError`."""
     doc = json.loads(text)
     sites = doc["sites"]
     n = len(sites)
-    adj = np.zeros((n, n), dtype=np.int64)
-    for i, j in doc["edges"]:
-        adj[i, j] = adj[j, i] = 1
+    edges = _edge_tuple(doc["edges"])
     info = tuple(SiteInfo(s["i"], s["l_x"], s["l_y"], s["c"], s["role"])
                  for s in sorted(sites, key=lambda s: s["i"]))
     dims = tuple(doc["dims"]) if doc.get("dims") else None
-    return LatticeGraph(n, adj, info, doc["kind"], dims)
+    return LatticeGraph(n, edges, info, doc["kind"], dims)

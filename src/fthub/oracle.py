@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from .freefermion import ff_comm_norm, ff_norm, schatten1, star_matrix
+from .freefermion import ff_norm
 from .lattice import LatticeGraph, regular_degree
 from .pauli import PauliSum
 from .tiling import SectionCover, chain_rotation, tile_catalog
-from .trotterbounds import ModelParams, TrotterErrorBreakdown, _star_norms
+from .trotterbounds import ModelParams, TrotterErrorBreakdown, w_so2_extended
 
 MAX_QUBITS = 16
 # largest block the exact layer diagonalizes: the half-filled sector of a
@@ -354,34 +354,13 @@ def verify_tile_evolution(kind: str, tau: float, t: float) -> dict:
 # commutator bound dominance
 
 
-def _bound_chc(lattice: LatticeGraph, u: float, v: float, tau: float) -> float:
-    k = regular_degree(lattice)
-    r1 = schatten1(lattice.adjacency)
-    return ((u**2 + k * v**2) * tau * r1
-            + ((4 * k - 2) * tau * u * v + (k - 1) * (4 * k - 1) * tau * v**2) * k * lattice.n_sites)
-
-
-def _bound_ihh(lattice: LatticeGraph, u: float, tau: float) -> float:
-    full = lattice.adjacency.astype(float)
-    total = 0.0
-    for i in range(lattice.n_sites):
-        star = star_matrix(lattice, i, tau=tau)
-        t_norm = ff_norm(star, sectors=2)
-        t_comm = ff_comm_norm(star, full, sectors=2) * tau
-        total += t_comm + 2 * t_norm**2
-    return (u / 2.0) * total
-
-
-def _bound_vhh(lattice: LatticeGraph, v: float, tau: float) -> float:
-    s = _star_norms(lattice, tau)
-    return v * s["k"] * lattice.n_sites * (
-        s["comm_km1"] + 4 * s["norm_km1"]**2 + s["comm_k"] + 2 * s["norm_k"]**2)
-
-
 def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list:
-    """Exact nested-commutator spectral norms against their closed-form bounds."""
+    """Exact nested-commutator spectral norms against the closed-form bounds
+    that ``trotterbounds.w_so2_extended`` ships (extended-model params on a
+    regular lattice)."""
     _require_qubits(2 * lattice.n_sites)
     u, v, tau = params.u, params.v, params.tau
+    bounds = w_so2_extended(lattice, params).components
     h_h = jw_hopping(lattice, tau)
     h_i = jw_onsite(lattice, u)
     h_v = jw_neighbor(lattice, v)
@@ -397,9 +376,9 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
                        "bound": bound,
                        "pass": exact <= bound + 1e-9 * max(bound, 1.0)})
 
-    record("comm_CHC", h_c, h_h, h_c, _bound_chc(lattice, u, v, tau))
-    record("comm_IHH", h_i, h_h, h_h, _bound_ihh(lattice, u, tau))
-    record("comm_VHH", h_v, h_h, h_h, _bound_vhh(lattice, v, tau))
+    record("comm_CHC", h_c, h_h, h_c, bounds["comm_CHC_bound"])
+    record("comm_IHH", h_i, h_h, h_h, bounds["comm_IHH_bound"])
+    record("comm_VHH", h_v, h_h, h_h, bounds["comm_VHH_bound"])
     return checks
 
 

@@ -264,6 +264,7 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
     """Check disjointness within sections, exact edge coverage, and that every
     tile realizes its catalog interaction graph on the lattice."""
     violations = []
+    lattice_edges = set(lattice.edges)
     seen_edges: dict = {}
     for sec in cover.sections:
         used_sites: set = set()
@@ -281,7 +282,7 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
             if len(set(tile.sites)) != len(tile.sites):
                 violations.append(f"tile repeats a site: {tile.sites}")
             for i, j in tile.edges:
-                if not lattice.adjacency[i, j]:
+                if (i, j) not in lattice_edges:
                     violations.append(f"tile edge ({i},{j}) absent from lattice")
                 seen_edges[(i, j)] = seen_edges.get((i, j), 0) + 1
             overlap = used_sites & set(tile.sites)

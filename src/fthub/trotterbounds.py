@@ -144,7 +144,12 @@ def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
     near = lattice.neighbors(0)
     rest = {j for i in near for j in lattice.neighbors(i)} - {0, *near}
     ball = [0] + near + sorted(rest)
-    full = lattice.adjacency[np.ix_(ball, ball)].astype(float)
+    pos = {site: a for a, site in enumerate(ball)}
+    full = np.zeros((len(ball), len(ball)))
+    for i in ball:
+        for j in lattice.neighbors(i):
+            if j in pos:
+                full[pos[i], pos[j]] = 1
 
     def star(exclude=None):
         mat = np.zeros_like(full)

@@ -63,11 +63,10 @@ class TestFragmentStep:
 
 class TestEdgeless:
     def test_only_coulomb_layer_remains(self):
-        import numpy as np
         from fthub.lattice import LatticeGraph, SiteInfo
         from fthub.tiling import SectionCover
         sites = tuple(SiteInfo(i, i, 0, 0, "edge") for i in range(3))
-        bare = LatticeGraph(3, np.zeros((3, 3), dtype=np.int64), sites, "custom")
+        bare = LatticeGraph(3, (), sites, "custom")
         step = step_cost_fragment(bare, SectionCover(bare, ()))
         assert step.n_rot == 3
         assert step.n_t == 0

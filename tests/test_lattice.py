@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fthub.lattice import (LatticeError, build_hex_fragment, build_periodic_hex,
+from fthub import cli
+from fthub.lattice import (LatticeError, LatticeGraph, SiteInfo,
+                           build_hex_fragment, build_periodic_hex,
                            build_square_fragment, degree_histogram,
                            lattice_from_json, lattice_to_json, regular_degree,
                            ring_lattice)
+from fthub.tiling import SectionCover
 from conftest import CHEVRON_CELLS, PARALLELOGRAM_CELLS
 
 HEX44_SHA = "2baddd80280a6a6a8bd0c82827d767782249b954ea671c2272558054264ec0f0"
@@ -115,3 +118,79 @@ class TestJson:
 
     def test_deterministic(self, hex44):
         assert lattice_to_json(hex44) == lattice_to_json(build_periodic_hex(4, 4))
+
+    @staticmethod
+    def _ring4_doc(edges):
+        doc = json.loads(lattice_to_json(ring_lattice(4)))
+        doc["edges"] = edges
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("edges", [
+        [[-1, 0]],           # would wrap to (0, 3) in a dense matrix
+        [[0, 4]],            # past the last site
+        [[2, 2]],            # self-loop
+        [[0, 1.5]],          # would truncate to (0, 1)
+    ], ids=["negative", "too_large", "self_loop", "non_integer"])
+    def test_bad_edge_rejected(self, edges):
+        with pytest.raises(LatticeError, match="edge"):
+            lattice_from_json(self._ring4_doc(edges))
+
+    def test_reversed_and_repeated_edges_canonicalised(self):
+        text = self._ring4_doc([[1, 0], [0, 1], [3, 2], [1, 2], [0, 3], [2, 1]])
+        assert lattice_from_json(text).edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def _sites(n):
+    return tuple(SiteInfo(i, i, 0, 0, "center") for i in range(n))
+
+
+_LATTICES = st.one_of(
+    st.tuples(st.integers(2, 7), st.integers(2, 7)).map(
+        lambda dims: build_periodic_hex(*dims)),
+    st.sampled_from([PARALLELOGRAM_CELLS, CHEVRON_CELLS, [(0, 0)]]).map(
+        build_hex_fragment),
+    st.integers(3, 8).map(ring_lattice),
+    st.tuples(st.integers(2, 5), st.integers(2, 5)).map(
+        lambda dims: build_square_fragment(*dims)),
+)
+
+
+class TestEdgeList:
+    @given(_LATTICES)
+    @settings(max_examples=40, deadline=None)
+    def test_derived_quantities_match_dense_adjacency(self, lat):
+        edges = lat.edges
+        assert all(i < j for i, j in edges)
+        assert list(edges) == sorted(set(edges))
+        adj = lat.adjacency
+        assert adj.shape == (lat.n_sites, lat.n_sites)
+        assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+        assert np.array_equal(lat.degrees(), adj.sum(axis=1))
+        assert lat.n_edges == adj.sum() // 2 == len(edges)
+        for i in range(lat.n_sites):
+            assert lat.neighbors(i) == np.flatnonzero(adj[i]).tolist()
+
+    @pytest.mark.parametrize("edges", [
+        ((1, 2), (0, 1)),            # unsorted
+        ((0, 1), (0, 1)),            # duplicated
+        ((1, 0),),                   # reversed
+        ((0, 3),),                   # out of range
+        ((-1, 2),),                  # negative
+        ((1, 1),),                   # self-loop
+    ], ids=["unsorted", "duplicated", "reversed", "out_of_range", "negative",
+            "self_loop"])
+    def test_bad_edge_tuple_rejected(self, edges):
+        with pytest.raises(LatticeError):
+            LatticeGraph(3, edges, _sites(3), "custom")
+
+    def test_periodic_commands_build_no_dense_matrix(self, monkeypatch, tmp_path):
+        # at L = 20 (800 sites) every periodic command works from the edges
+        def refuse(*_args):
+            raise AssertionError("dense N x N matrix built")
+        monkeypatch.setattr(LatticeGraph, "adjacency", property(refuse))
+        monkeypatch.setattr(SectionCover, "section_adjacency", refuse)
+        out = str(tmp_path / "out")
+        for argv in (["bounds", "--model", "hubbard"],
+                     ["bounds", "--model", "extended_hubbard"],
+                     ["lattice"], ["cover"], ["qpe"]):
+            assert cli.main(argv + ["--L", "20", "--out", out]) == 0, argv

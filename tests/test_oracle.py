@@ -19,9 +19,8 @@ from fthub.trotterbounds import ModelParams, w_tile
 
 
 def two_site_chain():
-    adj = np.array([[0, 1], [1, 0]], dtype=np.int64)
     info = (SiteInfo(0, 0, 0, 0, "edge"), SiteInfo(1, 1, 0, 0, "edge"))
-    return LatticeGraph(2, adj, info, "custom")
+    return LatticeGraph(2, ((0, 1),), info, "custom")
 
 
 class TestJwBuilders:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fthub import freefermion, trotterbounds
+from fthub import cli, freefermion, trotterbounds
 from fthub.freefermion import (ff_comm_norm, ff_norm, schatten1, star_matrix,
                                translation_blocks, translation_periods)
 from fthub.lattice import build_periodic_hex, hex_site_index
@@ -335,3 +335,11 @@ class TestTranslationBlocks:
         assert bd.w_h / n == pytest.approx(0.8519, abs=1e-4)
         assert bd.components["comm_VHH_bound"] == pytest.approx(
             3 * 2.0 * n * (16 + 2 * SQRT3))
+
+    def test_cli_bounds_at_l128(self, tmp_path):
+        # 32768 sites: a dense adjacency alone would take 8.6 GB
+        out = tmp_path / "bounds.json"
+        assert cli.main(["bounds", "--L", "128", "--model", "extended_hubbard",
+                         "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert math.isfinite(doc["w_tile"]) and doc["w_tile"] > 0
