@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeGraph
+from .lattice import LatticeGraph, _edge_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +86,6 @@ def _cells(lattice: LatticeGraph) -> tuple:
     return zero, zero, index, (1, 1), n
 
 
-def _edge_pairs(edges) -> np.ndarray:
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-
-
 def _edge_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return np.sort(np.minimum(i, j) * n + np.maximum(i, j))
 
@@ -104,7 +100,7 @@ def translation_periods(lattice: LatticeGraph, edge_sets) -> tuple:
     every edge is checked for each."""
     x, y, orb, (l_x, l_y), n_orb = _cells(lattice)
     n = lattice.n_sites
-    pairs = [_edge_pairs(edges) for edges in edge_sets]
+    pairs = [_edge_array(edges) for edges in edge_sets]
     keys = [_edge_keys(p[:, 0], p[:, 1], n) for p in pairs]
 
     def maps_onto_itself(t_x: int, t_y: int) -> bool:
@@ -147,7 +143,7 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
     # the inverse FFT)
     counts = np.zeros((len(edge_sets), k_x, k_y, d, d))
     for s, edges in enumerate(edge_sets):
-        p = _edge_pairs(edges)
+        p = _edge_array(edges)
         i = np.concatenate([p[:, 0], p[:, 1]])
         j = np.concatenate([p[:, 1], p[:, 0]])
         np.add.at(counts[s], ((cell_x[j] - cell_x[i]) % k_x,

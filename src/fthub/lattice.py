@@ -85,6 +85,7 @@ class LatticeGraph:
 
 
 def _edge_array(edges) -> np.ndarray:
+    """Edge pairs as an (E, 2) int64 array (shape (0, 2) when empty)."""
     return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
