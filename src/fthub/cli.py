@@ -27,7 +27,8 @@ from . import qpe, refdata
 from .gatecount import (step_cost_fragment, step_cost_periodic_extended,
                         step_cost_periodic_hubbard, step_cost_ppp)
 from .lattice import (build_hex_fragment, build_periodic_hex,
-                      build_square_fragment, lattice_to_json)
+                      build_square_fragment, check_periodic_dims,
+                      lattice_to_json)
 from .oracle import run_suite
 from .qpe import alpha_to_m, crossover_sweep, hubbard_step, rows_to_csv
 from .tiling import (cover_from_json, cover_hex_fragment, cover_periodic_hex,
@@ -191,6 +192,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gates(args) -> int:
+    if args.model == "ppp" or args.lattice == "periodic_hex":
+        # these step costs take N = 2 L^2 from L alone
+        check_periodic_dims(args.L, args.L)
     n = 2 * args.L * args.L
     m = alpha_to_m(n, args.alpha)
     if args.model == "ppp":

@@ -53,10 +53,27 @@ def schatten1(matrix: np.ndarray, check_symmetry: bool = True) -> float:
         raise ValueError("schatten1 needs a square matrix")
     if not np.isfinite(m).all():
         raise ValueError("schatten1 needs finite entries")
-    if check_symmetry and not np.allclose(m, m.conj().swapaxes(-1, -2),
-                                          atol=1e-12):
-        raise ValueError("schatten1 needs a symmetric (Hermitian) matrix")
+    if check_symmetry:
+        # exact equality first: commutators built by ``_commutator_ah`` are
+        # Hermitian bit for bit, and the tolerant check costs several passes
+        m_h = m.conj().swapaxes(-1, -2)
+        if not (np.array_equal(m, m_h) or np.allclose(m, m_h, atol=1e-12)):
+            raise ValueError("schatten1 needs a symmetric (Hermitian) matrix")
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+
+def _commutator_hh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] of (stacks of) Hermitian matrices, in one product: BA = (AB)^H,
+    so [A, B] = AB - (AB)^H, which is anti-Hermitian."""
+    ab = a @ b
+    return ab - ab.conj().swapaxes(-1, -2)
+
+
+def _commutator_ah(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """[X, C] of (stacks of) an anti-Hermitian X and a Hermitian C, in one
+    product: CX = -(XC)^H, so [X, C] = XC + (XC)^H, which is Hermitian."""
+    xc = x @ c
+    return xc + xc.conj().swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +225,7 @@ def ff_comm_norm(a, b, sectors: int = 1) -> float:
     mb, sb = _as_matrix_scale(b)
     if ma.shape != mb.shape:
         raise ValueError("coupling matrices must have matching dimensions")
-    comm = ma @ mb - mb @ ma
+    comm = _commutator_hh(ma, mb)
     # i*[A,B] is Hermitian; its eigenvalues are the singular values up to sign
     sv = np.abs(np.linalg.eigvalsh(1j * comm))
     if sectors not in (1, 2):

@@ -122,11 +122,17 @@ def hex_site_index(l: int, m: int, c: int, l_x: int, l_y: int) -> int:
     return 2 * ((l % l_x) + (m % l_y) * l_x) + c
 
 
-def build_periodic_hex(l_x: int, l_y: int) -> LatticeGraph:
-    """Periodic hexagonal lattice with 2 * l_x * l_y sites, 3-regular."""
+def check_periodic_dims(l_x: int, l_y: int):
+    """Raise ``LatticeError`` unless an l_x x l_y periodic hexagonal lattice
+    exists."""
     if l_x < 2 or l_y < 2:
         raise LatticeError("periodic hex needs l_x >= 2 and l_y >= 2 "
                            "(smaller tori create multi-edges)")
+
+
+def build_periodic_hex(l_x: int, l_y: int) -> LatticeGraph:
+    """Periodic hexagonal lattice with 2 * l_x * l_y sites, 3-regular."""
+    check_periodic_dims(l_x, l_y)
     n = 2 * l_x * l_y
     info = []
     for m in range(l_y):

@@ -102,11 +102,8 @@ def jw_tile_local(kind: str, tau: float) -> PauliSum:
     """Single-spin-sector tile Hamiltonian on its local register."""
     tmpl = tile_catalog(kind)
     out = PauliSum(tmpl.n_sites)
-    adj = tmpl.local_adjacency
-    for a in range(tmpl.n_sites):
-        for b in range(a + 1, tmpl.n_sites):
-            if adj[a, b]:
-                out = out + _hop_pair(tmpl.n_sites, a, b, -tau)
+    for a, b in tmpl.local_edges:
+        out = out + _hop_pair(tmpl.n_sites, a, b, -tau)
     return out
 
 

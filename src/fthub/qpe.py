@@ -83,18 +83,35 @@ def optimize_x(step: StepCost, w: float, eps: float) -> float:
     return 0.5 * (a + b)
 
 
+def _check_eps(eps: float):
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+
+def _out_of_range(eps: float) -> ValueError:
+    return ValueError(f"eps={eps!r} is out of range: the T count is not a "
+                      "finite number")
+
+
 def trotter_qpe(step: StepCost, w: float, eps: float,
                 x: float | None = None) -> QpeEstimate:
     """Total T budget for Trotterized phase estimation at accuracy eps."""
     if w <= 0:
         raise ValueError("error norm must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if x is None:
-        x = optimize_x(step, w, eps)
-    if not 0 < x < 1:
-        raise ValueError("x must lie in (0, 1)")
-    total_t, n_pe, n_rt = _trotter_total_t(step, w, eps, x)
+    _check_eps(eps)
+    try:
+        # a tiny eps underflows eps**1.5 to 0, a huge one overflows it
+        if x is None:
+            x = optimize_x(step, w, eps)
+        if not 0 < x < 1:
+            raise ValueError("x must lie in (0, 1)")
+        total_t, n_pe, n_rt = _trotter_total_t(step, w, eps, x)
+    except (ZeroDivisionError, OverflowError):
+        raise _out_of_range(eps) from None
+    if not math.isfinite(total_t):
+        raise _out_of_range(eps)
     # +2 qubits: one adaptive-estimation ancilla, one synthesis ancilla
     return QpeEstimate(
         method="trotter",
@@ -111,14 +128,16 @@ def trotter_qpe(step: StepCost, w: float, eps: float,
 
 def qubitized_qpe(walk: WalkCosts, eps: float) -> QpeEstimate:
     """Total T budget for qubitized phase estimation at accuracy eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n_walk = math.ceil(math.pi * walk.lam / (2 * eps))
-    total_t = n_walk * walk.per_walk_t + (4 * n_walk - 4)
+    _check_eps(eps)
+    try:
+        n_walk = math.ceil(math.pi * walk.lam / (2 * eps))
+        total_t = float(n_walk * walk.per_walk_t + (4 * n_walk - 4))
+    except OverflowError:
+        raise _out_of_range(eps) from None
     alpha_pe = 2 * math.ceil(math.log2(n_walk + 1)) - 1
     return QpeEstimate(
         method="qubitized",
-        total_t=float(total_t),
+        total_t=total_t,
         total_rot=0.0,
         n_qubits=walk.n_qubits_walk + alpha_pe,
         eps=eps,

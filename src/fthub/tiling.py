@@ -34,6 +34,7 @@ class CoverError(ValueError):
 class TileTemplate:
     kind: str
     local_adjacency: np.ndarray
+    local_edges: tuple            # (a, b) pairs, a < b, in row-major order
     eigenvalues: tuple            # per mode, after applying the rotation chain
     eigenvectors: tuple           # (eigenvalue, vector) for the nonzero pairs
     chain: tuple                  # oriented 2-mode rotations, leftmost applied last
@@ -46,9 +47,10 @@ class TileTemplate:
 
 def _template(kind, adj, eigvals, eigvecs, chain):
     adj = np.array(adj, dtype=float)
-    return TileTemplate(kind, adj, tuple(eigvals),
+    edges = tuple((int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(adj))))
+    return TileTemplate(kind, adj, edges, tuple(eigvals),
                         tuple((lam, np.array(v)) for lam, v in eigvecs),
-                        tuple(chain), adj.shape[0], int(adj.sum()) // 2)
+                        tuple(chain), adj.shape[0], len(edges))
 
 
 _H = 1 / SQRT2
@@ -109,14 +111,10 @@ class Tile:
 
     @property
     def edges(self) -> tuple:
-        adj = _CATALOG[self.kind].local_adjacency
-        out = []
-        for a in range(len(self.sites)):
-            for b in range(a + 1, len(self.sites)):
-                if adj[a, b]:
-                    i, j = self.sites[a], self.sites[b]
-                    out.append((min(i, j), max(i, j)))
-        return tuple(sorted(out))
+        """Lattice edges of the tile, each as (min, max), sorted."""
+        s = self.sites
+        return tuple(sorted((min(s[a], s[b]), max(s[a], s[b]))
+                            for a, b in _CATALOG[self.kind].local_edges))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,14 @@ blocks (``freefermion.translation_blocks``): for the periodic three-section
 cover the supercell is 4 x 2 cells when L = 0 (mod 4) and L x 2 cells when
 L = 2 (mod 4), and the full lattice has a 1 x 1 cell, so its Schatten norm
 comes from 2 x 2 blocks.  Nested commutators and their Schatten norms are
-taken block by block in one routine, ``_nested_schatten``, at O(K d^3) cost
-for K blocks of size d instead of O(N^3).  The star commutators [S, R] are
+taken block by block, at O(K d^3) cost for K blocks of size d instead of
+O(N^3).  Each commutator costs one block product: [A, B] = AB - (AB)^H for
+Hermitian A, B, and [X, C] = XC + (XC)^H for the anti-Hermitian X = [A, B]
+(``_nested_schatten`` composes the two).  ``w_h`` takes [R_b, R_c] once per
+section pair and reuses it for every outer commutator, so a three-section
+cover needs 3 + 8 = 11 block products and 8 eigensolves.  On the dense 0/1
+blocks every product is an exact small integer, so these are the matrices
+of the four-product form AB - BA bit for bit.  The star commutators [S, R] are
 supported on the 2-hop ball around the star's site (at most
 1 + k + k(k - 1) sites) and are evaluated there exactly.  A lattice or
 cover without the symmetry (fragments, most manual covers) is a single
@@ -36,8 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
-                          translation_blocks)
+from .freefermion import (CouplingMatrix, _commutator_ah, _commutator_hh,
+                          ff_comm_norm, ff_norm, schatten1, translation_blocks)
 from .lattice import LatticeGraph, regular_degree
 from .tiling import SectionCover
 
@@ -215,8 +221,7 @@ def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBr
 
 def _nested_schatten(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     """|[[A, B], C]|_1 from stacks of matching Hermitian blocks of A, B, C."""
-    inner = a @ b - b @ a
-    return schatten1(inner @ c - c @ inner)
+    return schatten1(_commutator_ah(_commutator_hh(a, b), c))
 
 
 def w_h(cover: SectionCover, tau: float) -> float:
@@ -226,6 +231,10 @@ def w_h(cover: SectionCover, tau: float) -> float:
         tau^3 (T12 / 12 + T24 / 24),
         T12 = sum_{b < c} sum_{a > b} |[[R_b, R_c], R_a]|_1,
         T24 = sum_{b < c} |[[R_b, R_c], R_b]|_1.
+
+    Each inner commutator [R_b, R_c] is taken once and serves the T24 term
+    and every T12 term of its pair: a three-section cover costs 3 + 8 block
+    products.
     """
     blocks = translation_blocks(
         cover.lattice, [[e for tile in sec.tiles for e in tile.edges]
@@ -234,9 +243,10 @@ def w_h(cover: SectionCover, tau: float) -> float:
     m = len(blocks)
     for b in range(m):
         for c in range(b + 1, m):
-            t24 += _nested_schatten(blocks[b], blocks[c], blocks[b])
+            inner = _commutator_hh(blocks[b], blocks[c])
+            t24 += schatten1(_commutator_ah(inner, blocks[b]))
             for a in range(b + 1, m):
-                t12 += _nested_schatten(blocks[b], blocks[c], blocks[a])
+                t12 += schatten1(_commutator_ah(inner, blocks[a]))
     return tau**3 * (t12 / 12.0 + t24 / 24.0)
 
 

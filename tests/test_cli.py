@@ -145,6 +145,22 @@ class TestSmallCommands:
         assert run_cli(["gates", "--alpha", "foo"]) == 2
         assert "unknown alpha rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["qpe", "--L", "4", "--eps", "1e-320"], "is out of range"),
+        (["qpe", "--L", "4", "--eps", "nan"], "eps must be finite"),
+        (["qpe", "--L", "4", "--eps", "inf"], "eps must be finite"),
+        (["qpe", "--L", "4", "--theta", "-3"], "theta must be >= 1"),
+        (["qpe", "--L", "4", "--gamma", "0"], "gamma must be >= 1"),
+        (["gates", "--L", "-2"], "periodic hex needs"),
+        (["gates", "--L", "0"], "periodic hex needs"),
+    ])
+    def test_bad_qpe_and_gates_input_exit_2(self, capsys, argv, message):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_bad_flag_value_returns_2(self, capsys):
         assert run_cli(["bounds", "--tau", "abc"]) == 2
         assert "invalid float value" in capsys.readouterr().err

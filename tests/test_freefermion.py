@@ -41,6 +41,18 @@ class TestSchatten1:
         with pytest.raises(ValueError):
             schatten1(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
+    # an entry whose transpose partner is 0 is held to the absolute
+    # tolerance 1e-12 alone
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_accepts_rounding_asymmetry(self, dtype):
+        m = np.array([[1.0, 0.0], [1e-13, -1.0]], dtype=dtype)
+        assert schatten1(m) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_asymmetry_above_tolerance(self, dtype):
+        with pytest.raises(ValueError):
+            schatten1(np.array([[1.0, 0.0], [1e-9, -1.0]], dtype=dtype))
+
     def test_stack_sums_blocks(self):
         blocks = np.array([np.eye(2), [[0.0, 1j], [-1j, 0.0]]])
         assert schatten1(blocks) == pytest.approx(4.0)
@@ -157,6 +169,17 @@ class TestCommNorms:
             schatten1(nested))
         assert ff_norm(nested, sectors=1) == pytest.approx(
             0.5 * trotterbounds._nested_schatten(s, r, r))
+
+    @pytest.mark.parametrize("exclude_idx", [None, 0])
+    def test_one_product_commutator_exact_on_01_matrices(self, hex44,
+                                                         exclude_idx):
+        # products of 0/1 matrices are exact integers, so AB - (AB)^T is
+        # AB - BA bit for bit and the star norms keep every bit
+        exclude = None if exclude_idx is None else hex44.neighbors(0)[exclude_idx]
+        s = star_matrix(hex44, 0, exclude=exclude).matrix
+        r = hex44.adjacency.astype(float)
+        four = np.abs(np.linalg.eigvalsh(1j * (s @ r - r @ s))).sum()
+        assert ff_comm_norm(s, r) == float(four) / 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,17 @@ class TestTrotterQpe:
         with pytest.raises(ValueError):
             trotter_qpe(step, 215.0, 0.05, x=1.5)
 
+    @pytest.mark.parametrize("eps,message", [
+        (math.nan, "finite"), (math.inf, "finite"),
+        (1e-320, "out of range"), (1e-250, "out of range"),
+        (1e308, "out of range")])
+    def test_eps_outside_float_range(self, eps, message):
+        # eps**1.5 underflows to 0 below about 1e-206 and overflows above
+        # about 1e205
+        step = step_cost_periodic_hubbard(32, 1)
+        with pytest.raises(ValueError, match=message):
+            trotter_qpe(step, 215.0, eps)
+
 
 class TestQubitizedQpe:
     def test_walk_count_reference(self):
@@ -74,6 +85,12 @@ class TestQubitizedQpe:
         n_w = est.intermediates["n_walk"]
         alpha_pe = 2 * math.ceil(math.log2(n_w + 1)) - 1
         assert est.n_qubits == wc.n_qubits_walk + alpha_pe
+
+    @pytest.mark.parametrize("eps,message", [
+        (math.nan, "finite"), (-math.inf, "finite"), (1e-320, "out of range")])
+    def test_eps_outside_float_range(self, eps, message):
+        with pytest.raises(ValueError, match=message):
+            qubitized_qpe(walk_costs(4, 1.0, 4.0), eps)
 
     def test_qubit_ordering_at_small_n(self):
         # qubitized >= trotter-HWP >= plain trotter

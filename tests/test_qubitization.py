@@ -122,3 +122,9 @@ class TestWalkCosts:
 
     def test_ledger_json(self):
         assert '"controlled_select"' in walk_costs(4).ledger_json()
+
+    @pytest.mark.parametrize("theta,gamma,name", [
+        (0, 40, "theta"), (-3, 40, "theta"), (10, 0, "gamma"), (10, -1, "gamma")])
+    def test_rejects_nonpositive_rotation_costs(self, theta, gamma, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            walk_costs(4, theta=theta, gamma=gamma)

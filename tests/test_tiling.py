@@ -51,6 +51,19 @@ class TestCatalog:
         diag = u.T @ tmpl.local_adjacency @ u
         assert np.abs(diag - np.diag(tmpl.eigenvalues)).max() <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["S1", "S2", "C4", "S4"])
+    def test_tile_edges_follow_local_adjacency(self, kind):
+        tmpl = tile_catalog(kind)
+        adj, q = tmpl.local_adjacency, tmpl.n_sites
+        assert tmpl.n_edges == len(tmpl.local_edges)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            sites = tuple(int(i) for i in rng.permutation(40)[:q])
+            scanned = sorted((min(sites[a], sites[b]), max(sites[a], sites[b]))
+                             for a in range(q) for b in range(a + 1, q)
+                             if adj[a, b])
+            assert Tile(kind, sites).edges == tuple(scanned)
+
     def test_unknown_kind(self):
         with pytest.raises(CoverError):
             tile_catalog("C8")

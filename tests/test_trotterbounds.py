@@ -28,16 +28,22 @@ def _dense_nested(a, b, c):
     return schatten1(inner @ c - c @ inner)
 
 
-def _dense_w_h(cover, tau):
-    """w_h from the N x N section adjacencies."""
-    mats = [cover.section_adjacency(s) for s in range(cover.n_sections)]
-    total = 0.0
+def _four_product_w_h(mats, tau):
+    """w_h with four products per nested commutator, summed in the order of
+    the shipped formula (T24 first, then a ascending)."""
+    t12 = t24 = 0.0
     for b in range(len(mats)):
         for c in range(b + 1, len(mats)):
-            for a in range(b, len(mats)):
-                total += _dense_nested(mats[b], mats[c], mats[a]) / (
-                    24.0 if a == b else 12.0)
-    return tau**3 * total
+            t24 += _dense_nested(mats[b], mats[c], mats[b])
+            for a in range(b + 1, len(mats)):
+                t12 += _dense_nested(mats[b], mats[c], mats[a])
+    return tau**3 * (t12 / 12.0 + t24 / 24.0)
+
+
+def _dense_w_h(cover, tau):
+    """w_h from the N x N section adjacencies."""
+    return _four_product_w_h(
+        [cover.section_adjacency(s) for s in range(cover.n_sections)], tau)
 
 
 def _dense_star_norms(lattice, tau):
@@ -201,6 +207,15 @@ class TestWh:
         assert trotterbounds._adjacency_schatten1(cover44.lattice) == schatten1(
             cover44.lattice.adjacency)
 
+    @pytest.mark.parametrize("l", range(4, 19, 2))
+    def test_two_products_equal_four_products_exactly(self, l):
+        # dense 0/1 blocks make every product an exact integer, so the
+        # one-product commutators hand eigvalsh the very matrices of the
+        # four-product form: w_h, and the qpe bytes it feeds, keep every bit
+        _, cover = _periodic(l)
+        for tau in (1.0, 0.7):
+            assert w_h(cover, tau) == _dense_w_h(cover, tau)
+
     def test_two_sections_formula(self, hexagon, hexagon_cover):
         # S = 2: (1/12)||[[R1,R2],R2]||_1 + (1/24)||[[R1,R2],R1]||_1
         r1 = hexagon_cover.section_adjacency(0)
@@ -272,6 +287,25 @@ class TestTranslationBlocks:
         assert translation_blocks(lattice, [lattice.edges]).shape == (
             1, l * l, 2, 2)
         _assert_matches_dense(monkeypatch, lattice, cover, params)
+
+    @pytest.mark.parametrize("l", [20, 22, 24])
+    def test_bloch_commutators_match_four_products(self, l):
+        lattice, cover = _periodic(l)
+        blocks = translation_blocks(lattice, _section_edges(cover))
+        assert blocks.shape[1] > 1 and np.iscomplexobj(blocks)
+        for b in range(len(blocks)):
+            for c in range(b + 1, len(blocks)):
+                inner = freefermion._commutator_hh(blocks[b], blocks[c])
+                assert np.array_equal(inner, -inner.conj().swapaxes(-1, -2))
+                for a in range(b, len(blocks)):
+                    outer = freefermion._commutator_ah(inner, blocks[a])
+                    assert np.array_equal(outer, outer.conj().swapaxes(-1, -2))
+                    assert trotterbounds._nested_schatten(
+                        blocks[b], blocks[c], blocks[a]) == pytest.approx(
+                            _dense_nested(blocks[b], blocks[c], blocks[a]),
+                            rel=1e-12)
+        assert w_h(cover, 0.7) == pytest.approx(
+            _four_product_w_h(blocks, 0.7), rel=1e-12)
 
     @pytest.mark.parametrize("l", [4, 6, 8, 10])
     def test_periods_match_brute_force(self, l):
