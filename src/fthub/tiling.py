@@ -47,10 +47,11 @@ class TileTemplate:
 
 def _template(kind, adj, eigvals, eigvecs, chain):
     adj = np.array(adj, dtype=float)
-    edges = tuple((int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(adj))))
+    q = adj.shape[0]
+    edges = tuple((a, b) for a in range(q) for b in range(a + 1, q) if adj[a, b])
     return TileTemplate(kind, adj, edges, tuple(eigvals),
                         tuple((lam, np.array(v)) for lam, v in eigvecs),
-                        tuple(chain), adj.shape[0], len(edges))
+                        tuple(chain), q, len(edges))
 
 
 _H = 1 / SQRT2
