@@ -59,10 +59,10 @@ class TestTrotterQpe:
     @pytest.mark.parametrize("eps,message", [
         (math.nan, "finite"), (math.inf, "finite"),
         (1e-320, "out of range"), (1e-250, "out of range"),
-        (1e308, "out of range")])
+        (1e-204, "out of range"), (1e308, "out of range")])
     def test_eps_outside_float_range(self, eps, message):
         # eps**1.5 underflows to 0 below about 1e-206 and overflows above
-        # about 1e205
+        # about 1e205; at 1e-204 the T count itself overflows to inf
         step = step_cost_periodic_hubbard(32, 1)
         with pytest.raises(ValueError, match=message):
             trotter_qpe(step, 215.0, eps)
