@@ -8,8 +8,7 @@ from .lattice import (LatticeGraph, LatticeError, build_hex_fragment,
 from .tiling import (CoverError, SectionCover, Tile, cover_from_json,
                      cover_hex_fragment, cover_periodic_hex, cover_tile_census,
                      cover_to_json, tile_catalog, validate_cover)
-from .freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
-                          star_matrix, translation_blocks, translation_periods)
+from .freefermion import schatten1, translation_blocks, translation_periods
 from .trotterbounds import (BoundUnsupportedError, ModelParams,
                             TrotterErrorBreakdown, w_h, w_so2_extended,
                             w_so2_hubbard, w_tile)

@@ -24,8 +24,7 @@ import math
 import sys
 
 from . import qpe, refdata
-from .gatecount import (step_cost_fragment, step_cost_periodic_extended,
-                        step_cost_periodic_hubbard, step_cost_ppp)
+from .gatecount import step_cost_fragment, step_cost_ppp
 from .lattice import (build_hex_fragment, build_periodic_hex,
                       build_square_fragment, check_periodic_dims,
                       lattice_to_json)
@@ -62,19 +61,17 @@ def load_config(path: str) -> dict:
     return out
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    if not getattr(args, "config", None):
-        return args
-    defaults = parser.parse_args([args.command])
-    cfg = load_config(args.config)
-    for key, value in cfg.items():
-        if not hasattr(args, key):
+def _config_argv(argv: list, args: argparse.Namespace) -> list:
+    """``argv`` with the lines of the ``--config`` file as ``--key=value``
+    flags ahead of the command-line flags, so that one parse checks every
+    value and an explicit flag wins."""
+    flags = []
+    for key, value in load_config(args.config).items():
+        if key in ("command", "func", "config") or not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
-        # a flag equal to its default is overridden by the config file
-        if getattr(args, key) == getattr(defaults, key, None):
-            kind = type(getattr(defaults, key)) if getattr(defaults, key) is not None else str
-            setattr(args, key, kind(value))
-    return args
+        flags.append(f"--{key}={value}")
+    # the top-level parser has no options, so argv[0] is the subcommand
+    return argv[:1] + flags + argv[1:]
 
 
 def _model_params(args) -> ModelParams:
@@ -90,7 +87,7 @@ def _build_lattice(args):
         return build_hex_fragment(cells)
     if args.lattice == "square_fragment":
         return build_square_fragment(args.L, args.L)
-    raise SystemExit(2)
+    raise ValueError(f"unknown lattice {args.lattice!r}")
 
 
 def _build_cover(lattice, args=None):
@@ -196,12 +193,11 @@ def cmd_gates(args) -> int:
         # these step costs take N = 2 L^2 from L alone
         check_periodic_dims(args.L, args.L)
     n = 2 * args.L * args.L
-    m = alpha_to_m(n, args.alpha)
+    alpha_to_m(n, args.alpha)   # an unknown rule is an error on every route
     if args.model == "ppp":
         step = step_cost_ppp(n, hwp=args.alpha != "0")
     elif args.lattice == "periodic_hex":
-        step = (step_cost_periodic_hubbard(n, m) if args.model == "hubbard"
-                else step_cost_periodic_extended(n, m))
+        step = hubbard_step(n, args.model, args.alpha)
     else:
         lattice = _build_lattice(args)
         step = step_cost_fragment(lattice, _build_cover(lattice, args))
@@ -281,14 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_config_argv(argv, args))
+        return args.func(args)
     except SystemExit as exc:
         # argparse has printed the usage message (or the help text)
         return 0 if exc.code in (0, None) else 2
-    try:
-        args = _merge_config(args, parser)
-        return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

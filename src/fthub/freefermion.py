@@ -1,10 +1,17 @@
 """Norms of free-fermion (quadratic, number-conserving) operators.
 
 The many-body spectral norm of a hopping Hamiltonian encoded by a symmetric
-coupling matrix Q equals half the Schatten-1 norm of Q, and the same
-reduction applies to (nested) commutators of such operators.  This turns
-all hopping-sector norm evaluations into eigenvalue problems of coupling
-matrices.
+coupling matrix Q equals half the Schatten-1 norm of Q in each spin sector,
+so tau |Q|_1 for the spinful operator with identical up/down blocks, and the
+same reduction applies to (nested) commutators of such operators.  This
+turns all hopping-sector norm evaluations into eigenvalue problems of
+coupling matrices: ``schatten1`` of the matrix, or of i[A, B] for a
+commutator.
+
+``_commutator_hh`` and ``_commutator_ah`` take a commutator in one matrix
+product.  They are the only commutator route of the package: the error-norm
+bounds apply them to coupling matrices, and the exact oracle applies them to
+the many-body sector blocks of a Jordan-Wigner operator.
 
 Coupling matrices that commute with a group of lattice translations are
 block diagonal in the Bloch basis.  ``translation_blocks`` finds the cell
@@ -14,36 +21,16 @@ from the edges; products, commutators and Schatten norms then act block by
 block, at O(K d^3) cost instead of O(N^3).  A lattice without such a
 symmetry, or with at most ``DENSE_MAX_SITES`` sites, is one real block, the
 dense matrix itself.
-
-Spin convention: ``sectors=1`` returns the single-spin-sector value
-(1/2 Schatten norm); ``sectors=2`` doubles it for the spinful operator with
-identical up/down coupling blocks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .lattice import LatticeGraph, _edge_array
 
 
-@dataclass(frozen=True, eq=False)
-class CouplingMatrix:
-    """Symmetric single-particle coupling block with a hopping energy scale."""
-    matrix: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("coupling matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("coupling matrix must be symmetric")
-
-
-def schatten1(matrix: np.ndarray, check_symmetry: bool = True) -> float:
+def schatten1(matrix: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix, summed over every
     block when given a ``(..., d, d)`` stack of Hermitian blocks."""
     m = np.asarray(matrix)
@@ -53,12 +40,11 @@ def schatten1(matrix: np.ndarray, check_symmetry: bool = True) -> float:
         raise ValueError("schatten1 needs a square matrix")
     if not np.isfinite(m).all():
         raise ValueError("schatten1 needs finite entries")
-    if check_symmetry:
-        # exact equality first: commutators built by ``_commutator_ah`` are
-        # Hermitian bit for bit, and the tolerant check costs several passes
-        m_h = m.conj().swapaxes(-1, -2)
-        if not (np.array_equal(m, m_h) or np.allclose(m, m_h, atol=1e-12)):
-            raise ValueError("schatten1 needs a symmetric (Hermitian) matrix")
+    # exact equality first: commutators built by ``_commutator_ah`` are
+    # Hermitian bit for bit, and the tolerant check costs several passes
+    m_h = m.conj().swapaxes(-1, -2)
+    if not (np.array_equal(m, m_h) or np.allclose(m, m_h, atol=1e-12)):
+        raise ValueError("schatten1 needs a symmetric (Hermitian) matrix")
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
@@ -169,66 +155,3 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
     if k_x * k_y > 1:
         counts = np.fft.ifft2(counts, axes=(1, 2))
     return counts.reshape(len(edge_sets), k_x * k_y, d, d)
-
-
-def ff_norm(coupling: np.ndarray | CouplingMatrix, tau: float = 1.0,
-            sectors: int = 2) -> float:
-    """Operator norm of the hopping Hamiltonian with the given coupling.
-
-    ``sectors=2`` gives tau * |R|_1 for identical spin blocks; ``sectors=1``
-    gives half of that.
-    """
-    if isinstance(coupling, CouplingMatrix):
-        tau = tau * coupling.scale
-        coupling = coupling.matrix
-    if sectors not in (1, 2):
-        raise ValueError("sectors must be 1 or 2")
-    return tau * schatten1(coupling) * sectors / 2.0
-
-
-def star_matrix(lattice: LatticeGraph, i: int, exclude: int | None = None,
-                tau: float = 1.0) -> CouplingMatrix:
-    """N x N coupling whose only nonzero block is the hopping star at site i.
-
-    With ``exclude`` given (must be a neighbor of i), the bond i-exclude is
-    dropped, leaving the (k-1)-edge star used by the neighbor-interaction
-    commutator bound.
-    """
-    n = lattice.n_sites
-    if not 0 <= i < n:
-        raise ValueError(f"site {i} out of range")
-    nbrs = lattice.neighbors(i)
-    if exclude is not None:
-        if exclude not in nbrs:
-            raise ValueError(f"exclude={exclude} is not a neighbor of {i}")
-        nbrs = [j for j in nbrs if j != exclude]
-    mat = np.zeros((n, n))
-    for j in nbrs:
-        mat[i, j] = mat[j, i] = 1
-    return CouplingMatrix(mat, tau)
-
-
-def _as_matrix_scale(x) -> tuple:
-    if isinstance(x, CouplingMatrix):
-        return np.asarray(x.matrix, dtype=float), x.scale
-    return np.asarray(x, dtype=float), 1.0
-
-
-def ff_comm_norm(a, b, sectors: int = 1) -> float:
-    """Norm of the commutator of two free-fermion operators.
-
-    Per sector this is 1/2 |[A, B]|_1 times the product of the energy
-    scales; the commutator of symmetric matrices is antisymmetric, so the
-    Schatten norm is taken over its (imaginary) spectrum via A -> i*A.
-    """
-    ma, sa = _as_matrix_scale(a)
-    mb, sb = _as_matrix_scale(b)
-    if ma.shape != mb.shape:
-        raise ValueError("coupling matrices must have matching dimensions")
-    comm = _commutator_hh(ma, mb)
-    # i*[A,B] is Hermitian; its eigenvalues are the singular values up to sign
-    sv = np.abs(np.linalg.eigvalsh(1j * comm))
-    if sectors not in (1, 2):
-        raise ValueError("sectors must be 1 or 2")
-    return float(sv.sum()) * sa * sb * sectors / 2.0
-

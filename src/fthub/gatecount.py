@@ -105,30 +105,27 @@ def step_cost_fragment(lattice: LatticeGraph, cover: SectionCover) -> StepCost:
     )
 
 
+def _step_cost_periodic(n: int, m: int, layers: int, boundary_layers: int
+                        ) -> StepCost:
+    """Periodic hexagonal step of ``layers`` rotation layers of N, plus
+    ``boundary_layers`` layers of first/last-step Coulomb overhead, with
+    HWP group size m (m = 1 is plain rotations)."""
+    _check_hwp(n, m)
+    n_tof = (layers * n // m) * (m - 1)
+    return StepCost(n_rot=(layers * n // m) * _hwp_rotations(m),
+                    n_t=10 * n + TOFFOLI_T * n_tof, n_tof=n_tof,
+                    n_qubits=2 * n + (m - 1), hwp_m=m, alpha=m - 1,
+                    boundary_extra_rot=(boundary_layers * n // m) * _hwp_rotations(m))
+
+
 def step_cost_periodic_hubbard(n: int, m: int = 1) -> StepCost:
     """Periodic hexagonal on-site model: 6 rotation layers of N, 10N T gates."""
-    _check_hwp(n, m)
-    if m == 1:
-        return StepCost(n_rot=6 * n, n_t=10 * n, n_qubits=2 * n,
-                        boundary_extra_rot=n)
-    n_rot = (6 * n // m) * _hwp_rotations(m)
-    n_tof = (6 * n // m) * (m - 1)
-    return StepCost(n_rot=n_rot, n_t=10 * n + TOFFOLI_T * n_tof, n_tof=n_tof,
-                    n_qubits=2 * n + (m - 1), hwp_m=m, alpha=m - 1,
-                    boundary_extra_rot=(n // m) * _hwp_rotations(m))
+    return _step_cost_periodic(n, m, 6, 1)
 
 
 def step_cost_periodic_extended(n: int, m: int = 1) -> StepCost:
     """Periodic hexagonal extended model: 12 rotation layers of N."""
-    _check_hwp(n, m)
-    if m == 1:
-        return StepCost(n_rot=12 * n, n_t=10 * n, n_qubits=2 * n,
-                        boundary_extra_rot=7 * n)
-    n_rot = (12 * n // m) * _hwp_rotations(m)
-    n_tof = (12 * n // m) * (m - 1)
-    return StepCost(n_rot=n_rot, n_t=10 * n + TOFFOLI_T * n_tof, n_tof=n_tof,
-                    n_qubits=2 * n + (m - 1), hwp_m=m, alpha=m - 1,
-                    boundary_extra_rot=(7 * n // m) * _hwp_rotations(m))
+    return _step_cost_periodic(n, m, 12, 7)
 
 
 def step_cost_ppp(n: int, hwp: bool = False) -> StepCost:

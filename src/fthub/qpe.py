@@ -17,7 +17,8 @@ ceil(pi * lambda / (2 eps)) times, plus a unary iterator overhead of
 
 Step counts are kept continuous (not rounded up) so sweeps produce smooth
 curves; x is optimized on a geometric grid followed by golden-section
-refinement when not supplied.
+refinement when not supplied.  An eps with 6.203 sqrt(W) / eps^1.5 < 1, at
+which fewer than one phase-estimation step would do at any x, is rejected.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def _check_eps(eps: float):
         raise ValueError("eps must be positive")
 
 
-def _out_of_range(eps: float) -> ValueError:
-    return ValueError(f"eps={eps!r} is out of range: the T count is not a "
-                      "finite number")
+def _out_of_range(eps: float, why: str = "the T count is not a finite number"
+                  ) -> ValueError:
+    return ValueError(f"eps={eps!r} is out of range: {why}")
 
 
 def trotter_qpe(step: StepCost, w: float, eps: float,
@@ -103,6 +104,11 @@ def trotter_qpe(step: StepCost, w: float, eps: float,
     _check_eps(eps)
     try:
         # a tiny eps underflows eps**1.5 to 0, a huge one overflows it
+        if PE_STEP_CONSTANT * math.sqrt(w) / eps ** 1.5 < 1:
+            # n_pe >= 1 at every x keeps the RUS log argument >= 0.72, so
+            # the T count stays positive
+            raise _out_of_range(eps, "it needs fewer than one phase-"
+                                "estimation step")
         if x is None:
             x = optimize_x(step, w, eps)
         if not 0 < x < 1:

@@ -139,15 +139,6 @@ class SectionCover:
     def n_sections(self) -> int:
         return len(self.sections)
 
-    def section_adjacency(self, s: int) -> np.ndarray:
-        """0/1 adjacency matrix restricted to the edges of section s."""
-        n = self.lattice.n_sites
-        mat = np.zeros((n, n))
-        for tile in self.sections[s].tiles:
-            for i, j in tile.edges:
-                mat[i, j] = mat[j, i] = 1
-        return mat
-
 
 # ---------------------------------------------------------------------------
 # periodic hexagonal cover

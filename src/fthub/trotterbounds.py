@@ -20,7 +20,8 @@ cover needs 3 + 8 = 11 block products and 8 eigensolves.  On the dense 0/1
 blocks every product is an exact small integer, so these are the matrices
 of the four-product form AB - BA bit for bit.  The star commutators [S, R] are
 supported on the 2-hop ball around the star's site (at most
-1 + k + k(k - 1) sites) and are evaluated there exactly.  A lattice or
+1 + k + k(k - 1) sites) and are evaluated there exactly, as
+|i[S, R]|_1 / 2 with the same one-product commutator.  A lattice or
 cover without the symmetry (fragments, most manual covers) is a single
 block, the dense matrix; so is a lattice of at most
 ``freefermion.DENSE_MAX_SITES`` sites, which keeps the outputs pinned by the
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .freefermion import (CouplingMatrix, _commutator_ah, _commutator_hh,
-                          ff_comm_norm, ff_norm, schatten1, translation_blocks)
+from .freefermion import (_commutator_ah, _commutator_hh, schatten1,
+                          translation_blocks)
 from .lattice import LatticeGraph, regular_degree
 from .tiling import SectionCover
 
@@ -139,7 +140,8 @@ def w_so2_hubbard(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBre
 def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
     """Single-sector norms of the k- and (k-1)-edge local hopping stars, and of
     their commutators with the full hopping Hamiltonian, at a representative
-    site (the lattice must be regular, making the values site independent).
+    site (the lattice must be regular, making the values site independent):
+    tau |S|_1 / 2 and tau^2 |i[S, R]|_1 / 2.
 
     A star S at site 0 lives on the site and its neighbors, so [S, R] is
     nonzero only on the 2-hop ball around site 0 and needs only the entries
@@ -162,16 +164,23 @@ def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
         mat[0, 1:k + 1] = mat[1:k + 1, 0] = 1
         if exclude is not None:
             mat[0, exclude] = mat[exclude, 0] = 0
-        return CouplingMatrix(mat, tau)
+        return mat
+
+    def norm(s):
+        return tau * schatten1(s) / 2.0
+
+    def comm(s):
+        # i[S, R] is Hermitian; its eigenvalues are the singular values of
+        # [S, R] up to sign
+        return schatten1(1j * _commutator_hh(s, full)) * tau / 2.0 * tau
 
     s_k = star()
-    norm_k = ff_norm(s_k, sectors=1)
-    comm_k = ff_comm_norm(s_k, full, sectors=1) * tau
+    norm_k, comm_k = norm(s_k), comm(s_k)
     norm_km1 = comm_km1 = 0.0
     for j in range(1, k + 1):
         s = star(exclude=j)
-        norm_km1 = max(norm_km1, ff_norm(s, sectors=1))
-        comm_km1 = max(comm_km1, ff_comm_norm(s, full, sectors=1) * tau)
+        norm_km1 = max(norm_km1, norm(s))
+        comm_km1 = max(comm_km1, comm(s))
     return {"k": k, "norm_k": norm_k, "comm_k": comm_k,
             "norm_km1": norm_km1, "comm_km1": comm_km1}
 

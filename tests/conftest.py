@@ -1,8 +1,45 @@
+import numpy as np
 import pytest
 
 from fthub.lattice import build_hex_fragment, build_periodic_hex, ring_lattice, single_hexagon
 from fthub.tiling import cover_hex_fragment, cover_periodic_hex
 from fthub.trotterbounds import ModelParams
+
+# dense N x N references: the package builds no N x N coupling matrix on its
+# own paths, so the tests build them here
+
+
+def star_matrix(lattice, i, exclude=None):
+    """N x N 0/1 coupling whose only nonzero block is the hopping star at
+    site i.
+
+    With ``exclude`` given (must be a neighbor of i), the bond i-exclude is
+    dropped, leaving the (k-1)-edge star of the neighbor-interaction
+    commutator bound.
+    """
+    n = lattice.n_sites
+    if not 0 <= i < n:
+        raise ValueError(f"site {i} out of range")
+    nbrs = lattice.neighbors(i)
+    if exclude is not None:
+        if exclude not in nbrs:
+            raise ValueError(f"exclude={exclude} is not a neighbor of {i}")
+        nbrs = [j for j in nbrs if j != exclude]
+    mat = np.zeros((n, n))
+    for j in nbrs:
+        mat[i, j] = mat[j, i] = 1
+    return mat
+
+
+def section_adjacency(cover, s):
+    """N x N 0/1 adjacency matrix restricted to the edges of section s."""
+    n = cover.lattice.n_sites
+    mat = np.zeros((n, n))
+    for tile in cover.sections[s].tiles:
+        for i, j in tile.edges:
+            mat[i, j] = mat[j, i] = 1
+    return mat
+
 
 # 5 x 5 parallelogram patch: 70 sites, 22 edge sites, 48 center sites
 PARALLELOGRAM_CELLS = [(l, m) for l in range(5) for m in range(5)]

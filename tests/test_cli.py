@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fthub import cli
+from fthub.qpe import hubbard_step
 
 
 def run_cli(args):
@@ -98,6 +99,13 @@ class TestSmallCommands:
         assert doc["n_rot"] == 72
         assert doc["n_t"] == 1808
 
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    @pytest.mark.parametrize("alpha", ["0", "N/4-1", "N/2-1", "N-1"])
+    def test_periodic_gates_are_the_qpe_step(self, capsys, model, alpha):
+        assert run_cli(["gates", "--L", "6", "--model", model,
+                        "--alpha", alpha]) == 0
+        assert capsys.readouterr().out == hubbard_step(72, model, alpha).to_json() + "\n"
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L=6\nmodel=extended_hubbard\n")
@@ -114,6 +122,30 @@ class TestSmallCommands:
         assert run_cli(["lattice", "--config", str(cfg), "--L", "8",
                         "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["sites"]) == 128
+
+    def test_flag_equal_to_default_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L=8\n")
+        out = tmp_path / "lat.json"
+        assert run_cli(["lattice", "--L", "4", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["sites"]) == 32
+
+    def test_config_value_outside_choices_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lattice=foo\n")
+        assert run_cli(["lattice", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "invalid choice: 'foo'" in err
+
+    def test_config_format_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+        out = tmp_path / "table.csv"
+        assert run_cli(["table2", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_exit_2(self, tmp_path):
         cfg = tmp_path / "broken.cfg"
@@ -153,6 +185,8 @@ class TestSmallCommands:
         (["qpe", "--L", "4", "--gamma", "0"], "gamma must be >= 1"),
         (["gates", "--L", "-2"], "periodic hex needs"),
         (["gates", "--L", "0"], "periodic hex needs"),
+        (["qpe", "--L", "4", "--eps", "1e6"], "is out of range"),
+        (["qpe", "--L", "4", "--eps", "50"], "is out of range"),
     ])
     def test_bad_qpe_and_gates_input_exit_2(self, capsys, argv, message):
         assert run_cli(argv) == 2

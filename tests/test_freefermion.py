@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fthub import freefermion, trotterbounds
-from fthub.freefermion import (CouplingMatrix, ff_comm_norm, ff_norm, schatten1,
-                               star_matrix, translation_blocks)
+from conftest import section_adjacency, star_matrix
+from fthub import freefermion, oracle, trotterbounds
+from fthub.freefermion import _commutator_hh, schatten1, translation_blocks
 from fthub.lattice import build_periodic_hex
 from fthub.tiling import cover_periodic_hex, tile_catalog
 
@@ -19,6 +19,12 @@ SQRT6 = math.sqrt(6.0)
 
 def _symmetric(draw_matrix):
     return (draw_matrix + draw_matrix.T) / 2.0
+
+
+def _comm_norm(a, b):
+    """Single-sector norm of the commutator of two free-fermion operators,
+    1/2 |i[A, B]|_1, in the form ``trotterbounds._star_norms`` uses."""
+    return schatten1(1j * _commutator_hh(a, b)) / 2.0
 
 
 class TestSchatten1:
@@ -77,43 +83,40 @@ class TestSchatten1:
 
 
 class TestFfNorm:
-    def test_two_sector_default(self, hex44):
-        assert ff_norm(hex44.adjacency, tau=1.5) == pytest.approx(
-            1.5 * schatten1(hex44.adjacency))
+    def test_two_sector_default(self, ring4):
+        # the spinful hopping norm the oracle checks is tau |R|_1
+        report = oracle.verify_ff_norm(ring4, tau=1.5)
+        assert report["bound"] == pytest.approx(1.5 * schatten1(ring4.adjacency))
+        assert report["pass"]
 
     def test_star3_single_sector(self, hex44):
-        star = star_matrix(hex44, 0, tau=1.0)
-        assert ff_norm(star, sectors=1) == pytest.approx(SQRT3)
+        assert trotterbounds._star_norms(hex44, 1.0)["norm_k"] == pytest.approx(
+            SQRT3)
 
     def test_star2_single_sector(self, hex44):
-        j = hex44.neighbors(0)[0]
-        star = star_matrix(hex44, 0, exclude=j, tau=1.0)
-        assert ff_norm(star, sectors=1) == pytest.approx(SQRT2)
+        assert trotterbounds._star_norms(hex44, 1.0)["norm_km1"] == pytest.approx(
+            SQRT2)
 
     def test_zero_matrix(self):
-        assert ff_norm(np.zeros((4, 4))) == 0.0
-
-    def test_bad_sectors(self):
-        with pytest.raises(ValueError):
-            ff_norm(np.eye(2), sectors=3)
+        assert schatten1(np.zeros((4, 4))) == 0.0
 
 
 class TestStarMatrix:
     def test_full_star_schatten(self, hex44):
-        assert schatten1(star_matrix(hex44, 0).matrix) == pytest.approx(2 * SQRT3)
+        assert schatten1(star_matrix(hex44, 0)) == pytest.approx(2 * SQRT3)
 
     def test_excluded_star_schatten(self, hex44):
         j = hex44.neighbors(0)[1]
-        assert schatten1(star_matrix(hex44, 0, exclude=j).matrix) == pytest.approx(2 * SQRT2)
+        assert schatten1(star_matrix(hex44, 0, exclude=j)) == pytest.approx(2 * SQRT2)
 
     def test_site_independent_on_regular(self, hex44):
-        values = {round(schatten1(star_matrix(hex44, i).matrix), 12)
+        values = {round(schatten1(star_matrix(hex44, i)), 12)
                   for i in range(hex44.n_sites)}
         assert len(values) == 1
 
     def test_fragment_edge_site_degree(self, hexagon):
         star = star_matrix(hexagon, 0)
-        assert star.matrix.sum() == 4  # k = 2, two symmetric entries each
+        assert star.sum() == 4  # k = 2, two symmetric entries each
 
     def test_exclude_not_neighbor(self, hex44):
         with pytest.raises(ValueError, match="neighbor"):
@@ -125,50 +128,56 @@ class TestCommNorms:
         """The two-edge-star/hopping commutator evaluates to 2 + sqrt(2) per
         sector (the quoted closed form 2*sqrt(3) is not reproduced by the
         Schatten evaluation; see the notes in trotterbounds)."""
-        j = hex44.neighbors(0)[0]
-        star = star_matrix(hex44, 0, exclude=j, tau=1.0)
-        val = ff_comm_norm(star, hex44.adjacency.astype(float), sectors=1)
+        val = trotterbounds._star_norms(hex44, 1.0)["comm_km1"]
         assert val == pytest.approx(2 + SQRT2, abs=1e-9)
 
     def test_star3_hop_commutator(self, hex44):
-        star = star_matrix(hex44, 0, tau=1.0)
-        val = ff_comm_norm(star, hex44.adjacency.astype(float), sectors=1)
+        val = trotterbounds._star_norms(hex44, 1.0)["comm_k"]
         assert val == pytest.approx(SQRT6, abs=1e-9)
 
     def test_commutator_with_self_vanishes(self, hex44):
         a = hex44.adjacency.astype(float)
-        assert ff_comm_norm(a, a) == pytest.approx(0.0, abs=1e-12)
+        assert _comm_norm(a, a) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("exclude_idx", [0, 1, 2])
     def test_exclude_choice_irrelevant_on_hex(self, hex44, exclude_idx):
         j = hex44.neighbors(0)[exclude_idx]
-        star = star_matrix(hex44, 0, exclude=j, tau=1.0)
-        val = ff_comm_norm(star, hex44.adjacency.astype(float), sectors=1)
+        star = star_matrix(hex44, 0, exclude=j)
+        val = _comm_norm(star, hex44.adjacency.astype(float))
         assert val == pytest.approx(2 + SQRT2, abs=1e-9)
 
     def test_size_independence(self, hex44, hex66):
-        v4 = ff_comm_norm(star_matrix(hex44, 0, exclude=hex44.neighbors(0)[0]),
-                          hex44.adjacency.astype(float), sectors=1)
-        v6 = ff_comm_norm(star_matrix(hex66, 0, exclude=hex66.neighbors(0)[0]),
-                          hex66.adjacency.astype(float), sectors=1)
+        v4 = _comm_norm(star_matrix(hex44, 0, exclude=hex44.neighbors(0)[0]),
+                        hex44.adjacency.astype(float))
+        v6 = _comm_norm(star_matrix(hex66, 0, exclude=hex66.neighbors(0)[0]),
+                        hex66.adjacency.astype(float))
         assert abs(v4 - v6) <= 1e-9
 
     def test_scale_propagation(self, ring6):
-        a = CouplingMatrix(ring6.adjacency.astype(float), 2.0)
-        b = CouplingMatrix(star_matrix(ring6, 0).matrix, 3.0)
-        assert ff_comm_norm(a, b) == pytest.approx(
-            6.0 * ff_comm_norm(a.matrix, b.matrix))
+        # the star norms scale as tau, their commutators with tau R as tau^2
+        one = trotterbounds._star_norms(ring6, 1.0)
+        three = trotterbounds._star_norms(ring6, 3.0)
+        for key in ("norm_k", "norm_km1"):
+            assert three[key] == pytest.approx(3.0 * one[key])
+        for key in ("comm_k", "comm_km1"):
+            assert three[key] == pytest.approx(9.0 * one[key])
 
     def test_nested_commutator(self, ring6):
         # the per-sector norm of [[S, R], R] is half its Schatten 1-norm
         r = ring6.adjacency.astype(float)
-        s = star_matrix(ring6, 0).matrix
+        s = star_matrix(ring6, 0)
         inner = s @ r - r @ s
         nested = inner @ r - r @ inner
         assert trotterbounds._nested_schatten(s, r, r) == pytest.approx(
             schatten1(nested))
-        assert ff_norm(nested, sectors=1) == pytest.approx(
-            0.5 * trotterbounds._nested_schatten(s, r, r))
+        # exactly, on one spin species: a+ S a and a+ R a as Pauli sums
+        # (jw_hopping carries the hopping sign -tau)
+        star_edges = [(0, j) for j in ring6.neighbors(0)]
+        s_op = oracle.jw_hopping(ring6, -1.0, edges=star_edges, spins=(0,))
+        r_op = oracle.jw_hopping(ring6, -1.0, spins=(0,))
+        exact = oracle.exact_spectral_norm(s_op.commutator(r_op).commutator(r_op))
+        assert exact == pytest.approx(
+            0.5 * trotterbounds._nested_schatten(s, r, r), rel=1e-10)
 
     @pytest.mark.parametrize("exclude_idx", [None, 0])
     def test_one_product_commutator_exact_on_01_matrices(self, hex44,
@@ -176,14 +185,14 @@ class TestCommNorms:
         # products of 0/1 matrices are exact integers, so AB - (AB)^T is
         # AB - BA bit for bit and the star norms keep every bit
         exclude = None if exclude_idx is None else hex44.neighbors(0)[exclude_idx]
-        s = star_matrix(hex44, 0, exclude=exclude).matrix
+        s = star_matrix(hex44, 0, exclude=exclude)
         r = hex44.adjacency.astype(float)
         four = np.abs(np.linalg.eigvalsh(1j * (s @ r - r @ s))).sum()
-        assert ff_comm_norm(s, r) == float(four) / 2.0
+        assert _comm_norm(s, r) == float(four) / 2.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            ff_comm_norm(np.eye(2), np.eye(3))
+            _comm_norm(np.eye(2), np.eye(3))
 
 
 class TestTranslationBlocks:
@@ -199,7 +208,7 @@ class TestTranslationBlocks:
                   lattice.adjacency.astype(float))]
         sections = translation_blocks(lattice, [
             [e for tile in sec.tiles for e in tile.edges] for sec in cover.sections])
-        cases += [(sections[s], cover.section_adjacency(s))
+        cases += [(sections[s], section_adjacency(cover, s))
                   for s in range(cover.n_sections)]
         for blocks, dense in cases:
             assert np.allclose(blocks, np.conj(blocks).swapaxes(-1, -2))

@@ -92,6 +92,11 @@ class TestPeriodicHubbard:
         with pytest.raises(ValueError):
             step_cost_periodic_hubbard(32, 5)
 
+    @pytest.mark.parametrize("m,extra", [(1, 32), (16, 2 * 5)])
+    def test_boundary_layer(self, m, extra):
+        # one Coulomb layer of N, merged in groups of m under HWP
+        assert step_cost_periodic_hubbard(32, m).boundary_extra_rot == extra
+
     @given(st.sampled_from([32, 72, 128, 200]), st.sampled_from([1, 2, 4, 8]))
     @settings(max_examples=20, deadline=None)
     def test_t_accounting_identity(self, n, m):
@@ -113,6 +118,11 @@ class TestPeriodicExtended:
 
     def test_qubits(self):
         assert step_cost_periodic_extended(32, 32).n_qubits == 95
+
+    @pytest.mark.parametrize("m,extra", [(1, 7 * 32), (32, 7 * 6)])
+    def test_boundary_layers(self, m, extra):
+        # seven layers of N, merged in groups of m under HWP
+        assert step_cost_periodic_extended(32, m).boundary_extra_rot == extra
 
 
 class TestPpp:

@@ -12,7 +12,6 @@ from fthub.lattice import (LatticeError, LatticeGraph, SiteInfo,
                            build_square_fragment, degree_histogram,
                            lattice_from_json, lattice_to_json, regular_degree,
                            ring_lattice)
-from fthub.tiling import SectionCover
 from conftest import CHEVRON_CELLS, PARALLELOGRAM_CELLS
 
 HEX44_SHA = "2baddd80280a6a6a8bd0c82827d767782249b954ea671c2272558054264ec0f0"
@@ -188,7 +187,6 @@ class TestEdgeList:
         def refuse(*_args):
             raise AssertionError("dense N x N matrix built")
         monkeypatch.setattr(LatticeGraph, "adjacency", property(refuse))
-        monkeypatch.setattr(SectionCover, "section_adjacency", refuse)
         out = str(tmp_path / "out")
         for argv in (["bounds", "--model", "hubbard"],
                      ["bounds", "--model", "extended_hubbard"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fthub.freefermion import ff_norm
+from fthub.freefermion import schatten1
 from fthub import oracle
 from fthub.lattice import LatticeGraph, SiteInfo, ring_lattice
 from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
@@ -35,7 +35,7 @@ class TestJwBuilders:
         dense = h.to_dense()
         assert np.abs(dense - dense.conj().T).max() < 1e-14
         assert np.abs(np.linalg.eigvalsh(dense)).max() == pytest.approx(
-            ff_norm(lat.adjacency, 1.0))
+            schatten1(lat.adjacency))
 
     def test_onsite_spectrum_n2(self):
         lat = two_site_chain()
@@ -81,7 +81,7 @@ class TestSpectralNorm:
     def test_hexagon_hopping_norm(self, hexagon):
         h = jw_hopping(hexagon, 1.0)
         assert exact_spectral_norm(h) == pytest.approx(
-            ff_norm(hexagon.adjacency, 1.0), rel=1e-8)
+            schatten1(hexagon.adjacency), rel=1e-8)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -240,6 +240,45 @@ class TestCommutatorBounds:
         params = ModelParams("extended_hubbard", tau=1.0, u=0.0, v=0.0)
         for report in verify_commutator_bounds(ring4, params):
             assert report["exact"] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestBlockCommutators:
+    """``verify_commutator_bounds`` takes its nested commutators on sector
+    blocks; the Pauli-algebra route is the reference."""
+
+    @pytest.mark.parametrize("name", ["ring4", "ring6", "hexagon"])
+    @pytest.mark.parametrize("u", [0.0, 2.0, 4.0])
+    @pytest.mark.parametrize("v", [0.0, 2.0, 4.0])
+    def test_match_pauli_nested_commutators(self, request, name, u, v):
+        lattice = request.getfixturevalue(name)
+        tau = 0.8 if name == "ring4" else 1.0
+        params = ModelParams("extended_hubbard", tau=tau, u=u, v=v)
+        h_h = jw_hopping(lattice, tau)
+        h_i = jw_onsite(lattice, u)
+        h_v = jw_neighbor(lattice, v)
+        h_c = h_i + h_v
+        reference = {
+            "comm_CHC": h_c.commutator(h_h).commutator(h_c),
+            "comm_IHH": h_i.commutator(h_h).commutator(h_h),
+            "comm_VHH": h_v.commutator(h_h).commutator(h_h)}
+        reports = verify_commutator_bounds(lattice, params)
+        assert [r["check"] for r in reports] == list(reference)
+        for report in reports:
+            expected = exact_spectral_norm(reference[report["check"]])
+            assert report["exact"] == pytest.approx(expected, rel=1e-10,
+                                                    abs=1e-12), report["check"]
+
+    def test_no_pauli_product(self, ring6, monkeypatch):
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=2.0)
+        expected = verify_commutator_bounds(ring6, params)
+
+        def refuse(self, other):
+            raise AssertionError("PauliSum product formed")
+
+        monkeypatch.setattr(PauliSum, "__matmul__", refuse)
+        reports = verify_commutator_bounds(ring6, params)
+        assert reports == expected
+        assert all(r["pass"] and r["exact"] > 0 for r in reports)
 
 
 class TestTrotterStep:

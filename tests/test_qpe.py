@@ -8,6 +8,9 @@ from fthub.qpe import (CSV_COLUMNS, crossover_sweep, hubbard_step, optimize_x,
                        qubitized_qpe, rows_to_csv, trotter_qpe)
 from fthub.qubitization import walk_costs
 
+# largest eps with at least one phase-estimation step at W = 215
+EPS_LIMIT_215 = (6.203 * math.sqrt(215.0)) ** (2.0 / 3.0)
+
 
 class TestTrotterQpe:
     def test_step_count_reference(self):
@@ -66,6 +69,29 @@ class TestTrotterQpe:
         step = step_cost_periodic_hubbard(32, 1)
         with pytest.raises(ValueError, match=message):
             trotter_qpe(step, 215.0, eps)
+
+
+    @pytest.mark.parametrize("eps", [EPS_LIMIT_215 * (1 + 1e-9), 50.0, 1e6,
+                                     1e100])
+    def test_eps_below_one_step_rejected(self, eps):
+        # 6.203 sqrt(W) / eps^1.5 < 1: fewer than one phase-estimation step
+        step = step_cost_periodic_hubbard(32, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            trotter_qpe(step, 215.0, eps)
+        with pytest.raises(ValueError, match="out of range"):
+            trotter_qpe(step, 215.0, eps, x=0.5)
+
+    @pytest.mark.parametrize("m", [1, 16])
+    def test_t_count_positive_at_the_eps_limit(self, m):
+        # just inside the limit n_pe >= 1 at every x, so the T count stays
+        # positive across (0, 1)
+        step = step_cost_periodic_hubbard(32, m)
+        eps = EPS_LIMIT_215 * (1 - 1e-12)
+        for x in (1e-6, 0.01, 0.3, 2.0 / 3.0, 0.9, 1 - 1e-6):
+            est = trotter_qpe(step, 215.0, eps, x=x)
+            assert est.intermediates["n_pe"] >= 1.0
+            assert est.intermediates["n_rt"] > 0 and est.total_t > 0
+        assert trotter_qpe(step, 215.0, eps).total_t > 0
 
 
 class TestQubitizedQpe:

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import section_adjacency, star_matrix
 from fthub import cli, freefermion, trotterbounds
-from fthub.freefermion import (ff_comm_norm, ff_norm, schatten1, star_matrix,
-                               translation_blocks, translation_periods)
+from fthub.freefermion import schatten1, translation_blocks, translation_periods
 from fthub.lattice import build_periodic_hex, hex_site_index
 from fthub.tiling import (Section, SectionCover, Tile, cover_from_json,
                           cover_hex_fragment, cover_periodic_hex, cover_to_json,
@@ -43,21 +43,25 @@ def _four_product_w_h(mats, tau):
 def _dense_w_h(cover, tau):
     """w_h from the N x N section adjacencies."""
     return _four_product_w_h(
-        [cover.section_adjacency(s) for s in range(cover.n_sections)], tau)
+        [section_adjacency(cover, s) for s in range(cover.n_sections)], tau)
 
 
 def _dense_star_norms(lattice, tau):
-    """Star norms from N x N star and hopping matrices."""
+    """Star norms from N x N star and hopping matrices, with four-product
+    commutators."""
     full = lattice.adjacency.astype(float)
-    s_k = star_matrix(lattice, 0, tau=tau)
-    out = {"k": len(lattice.neighbors(0)), "norm_k": ff_norm(s_k, sectors=1),
-           "comm_k": ff_comm_norm(s_k, full, sectors=1) * tau,
+
+    def norms(star):
+        comm = star @ full - full @ star
+        return tau * schatten1(star) / 2.0, tau**2 * schatten1(1j * comm) / 2.0
+
+    norm_k, comm_k = norms(star_matrix(lattice, 0))
+    out = {"k": len(lattice.neighbors(0)), "norm_k": norm_k, "comm_k": comm_k,
            "norm_km1": 0.0, "comm_km1": 0.0}
     for j in lattice.neighbors(0):
-        s = star_matrix(lattice, 0, exclude=j, tau=tau)
-        out["norm_km1"] = max(out["norm_km1"], ff_norm(s, sectors=1))
-        out["comm_km1"] = max(out["comm_km1"],
-                              ff_comm_norm(s, full, sectors=1) * tau)
+        norm, comm = norms(star_matrix(lattice, 0, exclude=j))
+        out["norm_km1"] = max(out["norm_km1"], norm)
+        out["comm_km1"] = max(out["comm_km1"], comm)
     return out
 
 
@@ -197,7 +201,7 @@ class TestWh:
         # the any-S sum at S = 3 is the ordered three-section formula; on a
         # lattice of at most DENSE_MAX_SITES sites it is the dense
         # evaluation bit for bit, which keeps pinned outputs unchanged
-        rb, rr, rg = (cover44.section_adjacency(s) for s in range(3))
+        rb, rr, rg = (section_adjacency(cover44, s) for s in range(3))
         t12 = (_dense_nested(rb, rr, rr) + _dense_nested(rb, rr, rg)
                + _dense_nested(rb, rg, rr) + _dense_nested(rb, rg, rg)
                + _dense_nested(rr, rg, rg))
@@ -218,8 +222,8 @@ class TestWh:
 
     def test_two_sections_formula(self, hexagon, hexagon_cover):
         # S = 2: (1/12)||[[R1,R2],R2]||_1 + (1/24)||[[R1,R2],R1]||_1
-        r1 = hexagon_cover.section_adjacency(0)
-        r2 = hexagon_cover.section_adjacency(1)
+        r1 = section_adjacency(hexagon_cover, 0)
+        r2 = section_adjacency(hexagon_cover, 1)
         inner = r1 @ r2 - r2 @ r1
         expected = (schatten1(inner @ r2 - r2 @ inner) / 12
                     + schatten1(inner @ r1 - r1 @ inner) / 24)
@@ -333,7 +337,7 @@ class TestTranslationBlocks:
         n = parallelogram.n_sites
         assert blocks.shape == (cover.n_sections, 1, n, n)
         for s in range(cover.n_sections):
-            assert np.array_equal(blocks[s, 0], cover.section_adjacency(s))
+            assert np.array_equal(blocks[s, 0], section_adjacency(cover, s))
         _assert_matches_dense(monkeypatch, parallelogram, cover, hubbard_params)
 
     def test_manual_cover_round_trip(self, monkeypatch, blocked, hex44,
