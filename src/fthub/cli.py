@@ -9,16 +9,16 @@ Subcommands:
   cover    build a section cover and write its JSON document
   verify   run the exact verification suite
 
-Options may also be supplied through ``--config FILE`` holding ``key=value``
-lines; explicit flags win.  Exit codes: 0 success, 1 check failure, 2 bad
-configuration.
+Each subcommand takes only the options its ``cmd_*`` function reads (see
+``COMMANDS``), plus ``--config`` and ``--out``; any other flag is rejected by
+the parser.  Options may also be supplied through ``--config FILE`` holding
+``key=value`` lines, each checked as the flag ``--key=value``; explicit flags
+win.  Exit codes: 0 success, 1 check failure, 2 bad configuration.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -74,11 +74,6 @@ def _config_argv(argv: list, args: argparse.Namespace) -> list:
     return argv[:1] + flags + argv[1:]
 
 
-def _model_params(args) -> ModelParams:
-    return ModelParams(args.model, tau=args.tau, u=args.U, v=args.V,
-                       v_table=(1.0,) if args.model == "ppp" else None)
-
-
 def _build_lattice(args):
     if args.lattice == "periodic_hex":
         return build_periodic_hex(args.L, args.L)
@@ -90,9 +85,10 @@ def _build_lattice(args):
     raise ValueError(f"unknown lattice {args.lattice!r}")
 
 
-def _build_cover(lattice, args=None):
-    if args is not None and getattr(args, "cover", None):
-        with open(args.cover) as fh:
+def _build_cover(lattice, path: str | None = None):
+    """The cover read from ``path``, or the builder's cover of ``lattice``."""
+    if path:
+        with open(path) as fh:
             cover = cover_from_json(fh.read(), lattice)
         report = validate_cover(lattice, cover)
         if not report.valid:
@@ -129,16 +125,12 @@ def cmd_table2(args) -> int:
                     rows.append({"model": model, "quantity": qty, "alpha": rule,
                                  "N": n, "computed": got, "rounded": got,
                                  "reference": ref, "diff": got - ref})
-    cols = ["model", "quantity", "alpha", "N", "computed", "rounded",
-            "reference", "diff"]
     if args.format == "json":
         _write(args.out, json.dumps(rows, indent=1, sort_keys=True) + "\n")
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        _write(args.out, buf.getvalue())
+        _write(args.out, rows_to_csv(rows, ["model", "quantity", "alpha", "N",
+                                            "computed", "rounded", "reference",
+                                            "diff"]))
     worst = max(abs(r["diff"]) for r in rows)
     return 0 if worst <= 1 else 1
 
@@ -155,10 +147,7 @@ def _w_by_n(model: str, l_values, u: float, v: float, tau: float) -> dict:
 
 
 def cmd_qpe(args) -> int:
-    l_values = tuple(range(4, args.L + 1, 2)) if args.L >= 4 else ()
-    if not l_values:
-        _write(args.out, rows_to_csv([]))
-        return 0
+    l_values = tuple(range(4, args.L + 1, 2))
     w_by_n = _w_by_n(args.model, l_values, args.U, args.V, args.tau)
     alpha_rules = tuple(args.alpha.split(","))
     rows = []
@@ -170,37 +159,39 @@ def cmd_qpe(args) -> int:
         for row in swept:
             row["eps_rule"] = rule_name
             rows.append(row)
-    cols = qpe.CSV_COLUMNS + ["eps_rule"]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write(args.out, buf.getvalue())
+    _write(args.out, rows_to_csv(rows, qpe.CSV_COLUMNS + ["eps_rule"]))
     return 0
 
 
 def cmd_bounds(args) -> int:
     lattice = _build_lattice(args)
-    cover = _build_cover(lattice, args)
-    params = _model_params(args)
+    cover = _build_cover(lattice, args.cover)
+    params = ModelParams(args.model, tau=args.tau, u=args.U, v=args.V)
     breakdown = w_tile(lattice, cover, params)
     _write(args.out, breakdown.to_json() + "\n")
     return 0
 
 
 def cmd_gates(args) -> int:
-    if args.model == "ppp" or args.lattice == "periodic_hex":
-        # these step costs take N = 2 L^2 from L alone
-        check_periodic_dims(args.L, args.L)
-    n = 2 * args.L * args.L
-    alpha_to_m(n, args.alpha)   # an unknown rule is an error on every route
-    if args.model == "ppp":
-        step = step_cost_ppp(n, hwp=args.alpha != "0")
-    elif args.lattice == "periodic_hex":
-        step = hubbard_step(n, args.model, args.alpha)
-    else:
+    if args.lattice != "periodic_hex":
+        # step_cost_fragment costs the on-site model without HWP ancillas
+        if args.model != "hubbard":
+            raise ValueError(f"gates on a {args.lattice} costs only the "
+                             f"hubbard model, not {args.model}")
+        if args.alpha != "0":
+            raise ValueError(f"gates on a {args.lattice} uses no HWP "
+                             f"ancillas: --alpha must be 0, not {args.alpha}")
         lattice = _build_lattice(args)
-        step = step_cost_fragment(lattice, _build_cover(lattice, args))
+        step = step_cost_fragment(lattice, _build_cover(lattice, args.cover))
+    else:
+        # the periodic step costs take N = 2 L^2 from L alone
+        check_periodic_dims(args.L, args.L)
+        n = 2 * args.L * args.L
+        if args.model == "ppp":
+            alpha_to_m(n, args.alpha)   # rejects an unknown rule
+            step = step_cost_ppp(n, hwp=args.alpha != "0")
+        else:
+            step = hubbard_step(n, args.model, args.alpha)
     _write(args.out, step.to_json() + "\n")
     return 0
 
@@ -233,45 +224,53 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# every option once; a subcommand registers only the ones its cmd_* reads
+OPTIONS = {
+    "lattice": dict(default="periodic_hex",
+                    choices=["periodic_hex", "hex_fragment", "square_fragment"]),
+    "L": dict(type=int, default=4, help="lattice dimension"),
+    "cells": dict(default="[[0,0]]", help="JSON hexagon cell list for fragments"),
+    "cover": dict(default=None,
+                  help="manual cover JSON file (overrides the builder)"),
+    "model": dict(default="hubbard",
+                  choices=["hubbard", "extended_hubbard", "ppp"]),
+    "U": dict(type=float, default=4.0),
+    "V": dict(type=float, default=2.0),
+    "tau": dict(type=float, default=1.0),
+    "eps": dict(type=float, default=0.05),
+    "alpha": dict(default="0", help="HWP ancilla rule"),
+    "theta": dict(type=int, default=10),
+    "gamma": dict(type=int, default=40),
+    "format": dict(default="csv", choices=["csv", "json"]),
+    "level": dict(default="fast", choices=["fast", "full"]),
+}
+
+# subcommand -> (function, the options it reads); --config and --out go on all
+COMMANDS = {
+    "table2": (cmd_table2, ("format",)),
+    "qpe": (cmd_qpe, ("L", "model", "U", "V", "tau", "eps", "alpha", "theta",
+                      "gamma")),
+    "bounds": (cmd_bounds, ("lattice", "L", "cells", "cover", "model", "U",
+                            "V", "tau")),
+    "gates": (cmd_gates, ("lattice", "L", "cells", "cover", "model", "alpha")),
+    "lattice": (cmd_lattice, ("lattice", "L", "cells")),
+    "cover": (cmd_cover, ("lattice", "L", "cells")),
+    "verify": (cmd_verify, ("level",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fthub",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None, help="key=value options file")
-        p.add_argument("--lattice", default="periodic_hex",
-                       choices=["periodic_hex", "hex_fragment", "square_fragment"])
-        p.add_argument("--L", type=int, default=4, help="lattice dimension")
-        p.add_argument("--cells", default="[[0,0]]",
-                       help="JSON hexagon cell list for fragments")
-        p.add_argument("--cover", default=None,
-                       help="manual cover JSON file (overrides the builder)")
-        p.add_argument("--model", default="hubbard",
-                       choices=["hubbard", "extended_hubbard", "ppp"])
-        p.add_argument("--U", type=float, default=4.0)
-        p.add_argument("--V", type=float, default=2.0)
-        p.add_argument("--tau", type=float, default=1.0)
-        p.add_argument("--eps", type=float, default=0.05)
-        p.add_argument("--alpha", default="0", help="HWP ancilla rule")
-        p.add_argument("--theta", type=int, default=10)
-        p.add_argument("--gamma", type=int, default=40)
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", default="csv", choices=["csv", "json"])
-
-    for name, fn in (("table2", cmd_table2), ("qpe", cmd_qpe),
-                     ("bounds", cmd_bounds), ("gates", cmd_gates),
-                     ("lattice", cmd_lattice), ("cover", cmd_cover)):
+    for name, (fn, options) in COMMANDS.items():
         p = sub.add_parser(name)
-        common(p)
-        if name == "qpe":
-            p.set_defaults(alpha="0,N/4-1,N/2-1,N-1", L=18)
+        p.add_argument("--config", default=None, help="key=value options file")
+        for key in options:
+            p.add_argument(f"--{key}", **OPTIONS[key])
+        p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.set_defaults(func=fn)
-
-    p = sub.add_parser("verify")
-    common(p)
-    p.add_argument("--level", default="fast", choices=["fast", "full"])
-    p.set_defaults(func=cmd_verify)
+    sub.choices["qpe"].set_defaults(alpha="0,N/4-1,N/2-1,N-1", L=18)
     return parser
 
 

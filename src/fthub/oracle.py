@@ -112,20 +112,19 @@ def jw_tile_local(kind: str, tau: float) -> PauliSum:
     return out
 
 
-def jw_onsite(lattice: LatticeGraph, u: float, shifted: bool = True) -> PauliSum:
+def jw_onsite(lattice: LatticeGraph, u: float) -> PauliSum:
+    """Shifted on-site interaction: U/4 Z_up Z_down on every site."""
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
     out = PauliSum(n_qubits)
     for i in range(lattice.n_sites):
         a, b = orbital(i, 0), orbital(i, 1)
-        if shifted:
-            out._iadd_term((0, (1 << a) | (1 << b)), u / 4.0)
-        else:
-            out = out + u * (number_op(n_qubits, a) @ number_op(n_qubits, b))
+        out._iadd_term((0, (1 << a) | (1 << b)), u / 4.0)
     return out
 
 
-def jw_neighbor(lattice: LatticeGraph, v: float, shifted: bool = True) -> PauliSum:
+def jw_neighbor(lattice: LatticeGraph, v: float) -> PauliSum:
+    """Shifted neighbor interaction: V/4 Z_a Z_b for every edge and spin pair."""
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
     out = PauliSum(n_qubits)
@@ -133,39 +132,8 @@ def jw_neighbor(lattice: LatticeGraph, v: float, shifted: bool = True) -> PauliS
         for si in (0, 1):
             for sj in (0, 1):
                 a, b = orbital(i, si), orbital(j, sj)
-                if shifted:
-                    out._iadd_term((0, (1 << a) | (1 << b)), v / 4.0)
-                else:
-                    out = out + v * (number_op(n_qubits, a) @ number_op(n_qubits, b))
+                out._iadd_term((0, (1 << a) | (1 << b)), v / 4.0)
     return out
-
-
-def jw_hamiltonian(lattice: LatticeGraph, params: ModelParams, piece: str = "full",
-                   cover: SectionCover | None = None, section: int | None = None,
-                   shifted: bool = True) -> PauliSum:
-    """Qubit operator for a named piece of the model Hamiltonian.
-
-    piece: full | hopping | onsite | neighbor | coulomb | section
-    """
-    if piece == "hopping":
-        return jw_hopping(lattice, params.tau)
-    if piece == "onsite":
-        return jw_onsite(lattice, params.u, shifted)
-    if piece == "neighbor":
-        return jw_neighbor(lattice, params.v, shifted)
-    if piece == "coulomb":
-        out = jw_onsite(lattice, params.u, shifted)
-        if params.model == "extended_hubbard":
-            out = out + jw_neighbor(lattice, params.v, shifted)
-        return out
-    if piece == "full":
-        return jw_hamiltonian(lattice, params, "hopping") + \
-            jw_hamiltonian(lattice, params, "coulomb", shifted=shifted)
-    if piece == "section":
-        if cover is None or section is None:
-            raise ValueError("section piece needs cover= and section=")
-        return jw_section(lattice, cover, section, params.tau)
-    raise ValueError(f"unknown piece {piece!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +396,14 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
     labels = _spin_labels(n_qubits)
-    pieces = [("full Hamiltonian", jw_hamiltonian(lattice, params, "full"))]
+    coulomb = jw_onsite(lattice, params.u)
+    if params.model == "extended_hubbard":
+        coulomb = coulomb + jw_neighbor(lattice, params.v)
+    pieces = [("full Hamiltonian", jw_hopping(lattice, params.tau) + coulomb)]
     pieces += [(f"section {s}", jw_section(lattice, cover, s, params.tau))
                for s in range(cover.n_sections)]
     groups = [_conserving_groups(op, labels, name) for name, op in pieces]
-    c_diag = _diag_of_z_sum(jw_hamiltonian(lattice, params, "coulomb"))
+    c_diag = _diag_of_z_sum(coulomb)
 
     errs = [0.0] * len(t_list)
     for members in _label_sets(labels):
@@ -473,6 +444,8 @@ def verify_chemical_shifts(lattice: LatticeGraph, params: ModelParams,
                            eta: int) -> list:
     """Shifted minus unshifted interaction terms restricted to the eta-electron
     sector must be the predicted constant energy shift times the identity.
+    The unshifted terms U n_up n_down and V n_a n_b are diagonal and are read
+    off the occupation bits of each basis state.
 
     On-site shift: -U/2 * eta + U/4 * N.  Neighbor shift on a k-regular
     lattice: V k / 2 * (N - 2 eta); the commonly quoted form
@@ -484,11 +457,15 @@ def verify_chemical_shifts(lattice: LatticeGraph, params: ModelParams,
     n = lattice.n_sites
     up, dn = _spin_occupations(n_qubits)
     sector = np.flatnonzero(up + dn == eta)
+    idx = np.arange(1 << n_qubits)
+    occ = [(idx >> q) & 1 for q in range(n_qubits)]
     reports = []
 
     delta_i = -params.u / 2.0 * eta + params.u / 4.0 * n
-    diff = jw_onsite(lattice, params.u, True) - jw_onsite(lattice, params.u, False)
-    dev = np.abs(_diag_of_z_sum(diff)[sector] - delta_i).max()
+    bare = params.u * sum(occ[orbital(i, 0)] * occ[orbital(i, 1)]
+                          for i in range(n))
+    diff = _diag_of_z_sum(jw_onsite(lattice, params.u)) - bare
+    dev = np.abs(diff[sector] - delta_i).max()
     reports.append({"check": "chemical_shift_onsite",
                     "instance": f"N={n} eta={eta} U={params.u}",
                     "exact": float(dev), "bound": 1e-10,
@@ -497,9 +474,11 @@ def verify_chemical_shifts(lattice: LatticeGraph, params: ModelParams,
     k = regular_degree(lattice)
     if k is not None and params.v > 0:
         delta_v = params.v * k / 2.0 * (n - 2 * eta)
-        diff = (jw_neighbor(lattice, params.v, True)
-                - jw_neighbor(lattice, params.v, False))
-        dev = np.abs(_diag_of_z_sum(diff)[sector] - delta_v).max()
+        bare = params.v * sum(occ[orbital(i, si)] * occ[orbital(j, sj)]
+                              for i, j in lattice.edges
+                              for si in (0, 1) for sj in (0, 1))
+        diff = _diag_of_z_sum(jw_neighbor(lattice, params.v)) - bare
+        dev = np.abs(diff[sector] - delta_v).max()
         reports.append({"check": "chemical_shift_neighbor",
                         "instance": f"N={n} eta={eta} V={params.v} k={k}",
                         "exact": float(dev), "bound": 1e-10,
@@ -592,8 +571,7 @@ def run_suite(level: str = "fast") -> list:
         for lat in (ring4, ring6, hexagon):
             for u in (0.0, 2.0, 4.0):
                 for v in (0.0, 2.0, 4.0):
-                    params = ModelParams("extended_hubbard", tau=1.0, u=u,
-                                         v=v, v_table=None)
+                    params = ModelParams("extended_hubbard", tau=1.0, u=u, v=v)
                     reports.extend(verify_commutator_bounds(lat, params))
 
         params = ModelParams("hubbard", tau=1.0, u=4.0)

@@ -230,10 +230,10 @@ def _row(est: QpeEstimate, n: int, l: int, alpha_rule: str) -> dict:
     }
 
 
-def rows_to_csv(rows: list) -> str:
+def rows_to_csv(rows: list, columns=CSV_COLUMNS) -> str:
+    """CSV text of ``rows`` under a header of ``columns``."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -66,20 +66,16 @@ class ModelParams:
     tau: float = 1.0
     u: float = 0.0
     v: float = 0.0
-    v_table: tuple | None = None   # distance-indexed couplings, ppp only
 
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        values = (self.tau, self.u, self.v) + tuple(self.v_table or ())
-        if not all(math.isfinite(x) for x in values):
+        if not all(math.isfinite(x) for x in (self.tau, self.u, self.v)):
             raise ValueError("model parameters must be finite")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
         if self.u < 0 or self.v < 0:
             raise ValueError("interaction strengths must be nonnegative")
-        if self.model == "ppp" and self.v_table is None:
-            raise ValueError("ppp model needs a v_table")
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -62,6 +63,14 @@ class TestQpe:
         assert len(lines) == 1
         assert lines[0].startswith("method,")
 
+    def test_empty_sweep_header_matches_full_sweep(self, capsys):
+        assert run_cli(["qpe", "--L", "2"]) == 0
+        empty = capsys.readouterr().out.splitlines()
+        assert run_cli(["qpe", "--L", "4"]) == 0
+        full = capsys.readouterr().out.splitlines()
+        assert empty == full[:1]
+        assert full[0].endswith(",eps_rule")
+
 
 class TestSmallCommands:
     def test_lattice_json(self, tmp_path):
@@ -105,6 +114,19 @@ class TestSmallCommands:
         assert run_cli(["gates", "--L", "6", "--model", model,
                         "--alpha", alpha]) == 0
         assert capsys.readouterr().out == hubbard_step(72, model, alpha).to_json() + "\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--model", "extended_hubbard"], "costs only the hubbard model"),
+        (["--model", "ppp"], "costs only the hubbard model"),
+        (["--alpha", "N-1"], "--alpha must be 0"),
+    ])
+    def test_fragment_gates_reject_what_they_cannot_cost(self, capsys, flags,
+                                                         message):
+        assert run_cli(["gates", "--lattice", "hex_fragment"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -205,6 +227,45 @@ class TestSmallCommands:
                         "--cells", "[[0,0]]", "--model", "ppp",
                         "--out", str(out)])
         assert code == 2
+
+
+# the options every subcommand took before each took only what it reads
+SHARED_FLAGS = ("lattice", "L", "cells", "cover", "model", "U", "V", "tau",
+                "eps", "alpha", "theta", "gamma", "format")
+READS = {
+    "table2": {"format"},
+    "qpe": {"L", "model", "U", "V", "tau", "eps", "alpha", "theta", "gamma"},
+    "bounds": {"lattice", "L", "cells", "cover", "model", "U", "V", "tau"},
+    "gates": {"lattice", "L", "cells", "cover", "model", "alpha"},
+    "lattice": {"lattice", "L", "cells"},
+    "cover": {"lattice", "L", "cells"},
+    "verify": {"level"},
+}
+
+
+class TestFlagContract:
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, reads in READS.items()
+        for flag in SHARED_FLAGS if flag not in reads])
+    def test_unread_flag_exit_2(self, capsys, command, flag):
+        assert run_cli([command, f"--{flag}=1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_read_flags(self, capsys, command):
+        assert run_cli([command, "--help"]) == 0
+        flags = set(re.findall(r"--(\w+)", capsys.readouterr().out))
+        assert flags == READS[command] | {"config", "out", "help"}
+
+    def test_other_subcommands_config_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eps=0.1\n")
+        assert run_cli(["bounds", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown config key 'eps'" in err
 
 
 class TestVerify:

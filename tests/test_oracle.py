@@ -9,7 +9,7 @@ from fthub import oracle
 from fthub.lattice import LatticeGraph, SiteInfo, ring_lattice
 from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
                           dense_expm_hermitian, exact_spectral_norm,
-                          jw_hamiltonian, jw_hopping, jw_neighbor, jw_onsite,
+                          jw_hopping, jw_neighbor, jw_onsite,
                           jw_tile_local, number_op, run_suite, slater_rotation,
                           transfer_term, verify_chemical_shifts,
                           verify_commutator_bounds, verify_commutator_rules,
@@ -53,14 +53,6 @@ class TestJwBuilders:
         lat = ring_lattice(9)
         with pytest.raises(SizeLimitError):
             jw_hopping(lat, 1.0)
-
-    def test_piece_dispatch(self, hexagon, extended_params):
-        full = jw_hamiltonian(hexagon, extended_params, "full")
-        parts = (jw_hamiltonian(hexagon, extended_params, "hopping")
-                 + jw_hamiltonian(hexagon, extended_params, "coulomb"))
-        assert (full - parts).is_zero()
-        with pytest.raises(ValueError):
-            jw_hamiltonian(hexagon, extended_params, "kinetic")
 
 
 class TestSpectralNorm:

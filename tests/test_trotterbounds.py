@@ -107,17 +107,9 @@ class TestModelParams:
         with pytest.raises(ValueError, match="finite"):
             ModelParams("extended_hubbard", **{name: value})
 
-    def test_rejects_nonfinite_v_table(self):
-        with pytest.raises(ValueError, match="finite"):
-            ModelParams("ppp", u=4.0, v_table=(1.0, math.nan))
-
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             ModelParams("hubbard", tau=0.0)
-
-    def test_ppp_needs_table(self):
-        with pytest.raises(ValueError):
-            ModelParams("ppp", tau=1.0, u=4.0)
 
 
 class TestWso2Hubbard:
@@ -264,7 +256,7 @@ class TestWtile:
         assert bd.w_so2 >= 0 and bd.w_h >= 0
 
     def test_ppp_rejected(self, hex44, cover44):
-        params = ModelParams("ppp", tau=1.0, u=4.0, v_table=(1.0, 0.5))
+        params = ModelParams("ppp", tau=1.0, u=4.0)
         with pytest.raises(BoundUnsupportedError):
             w_tile(hex44, cover44, params)
 
