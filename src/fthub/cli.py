@@ -24,15 +24,15 @@ import math
 import sys
 
 from . import qpe, refdata
-from .gatecount import step_cost_fragment, step_cost_ppp
+from .gatecount import step_cost_fragment
 from .lattice import (build_hex_fragment, build_periodic_hex,
-                      build_square_fragment, check_periodic_dims,
-                      lattice_to_json)
+                      build_square_fragment, lattice_to_json)
 from .oracle import run_suite
-from .qpe import alpha_to_m, crossover_sweep, hubbard_step, rows_to_csv
+from .qpe import crossover_sweep, hubbard_step, rows_to_csv
+from .qubitization import check_rotation_costs
 from .tiling import (cover_from_json, cover_hex_fragment, cover_periodic_hex,
                      cover_to_json, validate_cover)
-from .trotterbounds import ModelParams, w_tile
+from .trotterbounds import MODELS, ModelParams, w_tile
 
 
 def round_half_away(x: float) -> int:
@@ -75,14 +75,17 @@ def _config_argv(argv: list, args: argparse.Namespace) -> list:
 
 
 def _build_lattice(args):
-    if args.lattice == "periodic_hex":
-        return build_periodic_hex(args.L, args.L)
+    """The ``--lattice`` of ``--cells`` (default [[0,0]]) or of ``--L``
+    (default 4); the flag that lattice does not read is an error."""
+    unread = "L" if args.lattice == "hex_fragment" else "cells"
+    if getattr(args, unread) is not None:
+        raise ValueError(f"--lattice {args.lattice} reads no --{unread}")
     if args.lattice == "hex_fragment":
-        cells = json.loads(args.cells)
-        return build_hex_fragment(cells)
-    if args.lattice == "square_fragment":
-        return build_square_fragment(args.L, args.L)
-    raise ValueError(f"unknown lattice {args.lattice!r}")
+        return build_hex_fragment(json.loads(args.cells or "[[0,0]]"))
+    l = 4 if args.L is None else args.L
+    if args.lattice == "periodic_hex":
+        return build_periodic_hex(l, l)
+    return build_square_fragment(l, l)
 
 
 def _build_cover(lattice, path: str | None = None):
@@ -117,7 +120,7 @@ def cmd_table2(args) -> int:
                          "N": n, "computed": f"{w:.4f}",
                          "rounded": round_half_away(w), "reference": ref,
                          "diff": round_half_away(w) - ref})
-            for rule in refdata.ALPHA_RULES:
+            for rule in qpe.ALPHA_RULES:
                 step = hubbard_step(n, model, rule)
                 for qty, got in (("n_qubits", step.n_qubits),
                                  ("n_rot", step.n_rot), ("n_t", step.n_t)):
@@ -147,11 +150,17 @@ def _w_by_n(model: str, l_values, u: float, v: float, tau: float) -> dict:
 
 
 def cmd_qpe(args) -> int:
+    # checked here too, so that a sweep with no lattice size checks them
+    alpha_rules = tuple(args.alpha.split(","))
+    for rule in alpha_rules:
+        qpe.alpha_to_m(0, rule)
+    fixed_eps = args.eps * args.tau
+    qpe.check_eps(fixed_eps)
+    check_rotation_costs(args.theta, args.gamma)
     l_values = tuple(range(4, args.L + 1, 2))
     w_by_n = _w_by_n(args.model, l_values, args.U, args.V, args.tau)
-    alpha_rules = tuple(args.alpha.split(","))
     rows = []
-    for rule_name, eps_rule in (("fixed", lambda n: args.eps * args.tau),
+    for rule_name, eps_rule in (("fixed", lambda n: fixed_eps),
                                 ("extensive", lambda n: 0.005 * n)):
         swept = crossover_sweep(w_by_n, eps_rule, l_values, model=args.model,
                                 alpha_rules=alpha_rules, tau=args.tau, u=args.U,
@@ -173,7 +182,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gates(args) -> int:
-    if args.lattice != "periodic_hex":
+    lattice = _build_lattice(args)
+    if args.lattice == "periodic_hex":
+        # the periodic step costs read N alone
+        if args.cover:
+            raise ValueError("gates on a periodic_hex reads no --cover")
+        step = hubbard_step(lattice.n_sites, args.model, args.alpha)
+    else:
         # step_cost_fragment costs the on-site model without HWP ancillas
         if args.model != "hubbard":
             raise ValueError(f"gates on a {args.lattice} costs only the "
@@ -181,17 +196,7 @@ def cmd_gates(args) -> int:
         if args.alpha != "0":
             raise ValueError(f"gates on a {args.lattice} uses no HWP "
                              f"ancillas: --alpha must be 0, not {args.alpha}")
-        lattice = _build_lattice(args)
         step = step_cost_fragment(lattice, _build_cover(lattice, args.cover))
-    else:
-        # the periodic step costs take N = 2 L^2 from L alone
-        check_periodic_dims(args.L, args.L)
-        n = 2 * args.L * args.L
-        if args.model == "ppp":
-            alpha_to_m(n, args.alpha)   # rejects an unknown rule
-            step = step_cost_ppp(n, hwp=args.alpha != "0")
-        else:
-            step = hubbard_step(n, args.model, args.alpha)
     _write(args.out, step.to_json() + "\n")
     return 0
 
@@ -228,12 +233,12 @@ def cmd_verify(args) -> int:
 OPTIONS = {
     "lattice": dict(default="periodic_hex",
                     choices=["periodic_hex", "hex_fragment", "square_fragment"]),
-    "L": dict(type=int, default=4, help="lattice dimension"),
-    "cells": dict(default="[[0,0]]", help="JSON hexagon cell list for fragments"),
+    "L": dict(type=int, default=None, help="lattice dimension (default 4)"),
+    "cells": dict(default=None,
+                  help="JSON hexagon cell list for hex_fragment (default [[0,0]])"),
     "cover": dict(default=None,
                   help="manual cover JSON file (overrides the builder)"),
-    "model": dict(default="hubbard",
-                  choices=["hubbard", "extended_hubbard", "ppp"]),
+    "model": dict(default="hubbard", choices=MODELS),
     "U": dict(type=float, default=4.0),
     "V": dict(type=float, default=2.0),
     "tau": dict(type=float, default=1.0),
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{key}", **OPTIONS[key])
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.set_defaults(func=fn)
-    sub.choices["qpe"].set_defaults(alpha="0,N/4-1,N/2-1,N-1", L=18)
+    sub.choices["qpe"].set_defaults(alpha=",".join(qpe.ALPHA_RULES), L=18)
     return parser
 
 

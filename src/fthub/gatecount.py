@@ -6,9 +6,13 @@ first S-1 are applied twice at half angle while the last is applied once at
 full angle.  Gate counts per tile application are angle independent, so only
 application multiplicities matter.
 
-Hamming-weight phasing (HWP) trades a layer of m equal-angle rotations for
+Hamming-weight phasing (HWP) trades a group of m equal-angle rotations for
 floor(log2(m) + 1) rotations, m - 1 Toffolis and m - 1 clean ancillas; each
 Toffoli is accounted as 4 T gates.
+
+All three periodic models share one step formula: rotation layers of N
+sites, merged m at a time by HWP, plus 10N T gates; only the layer count
+differs (6 on-site, 12 extended, 2N + 4 all-to-all PPP).
 """
 
 from __future__ import annotations
@@ -128,19 +132,8 @@ def step_cost_periodic_extended(n: int, m: int = 1) -> StepCost:
     return _step_cost_periodic(n, m, 12, 7)
 
 
-def step_cost_ppp(n: int, hwp: bool = False) -> StepCost:
-    """Periodic hexagonal all-to-all Coulomb model.
-
-    Without HWP: 2N - 1 Coulomb layers plus 5 hopping layers of N rotations.
-    With HWP the distance-grouped layers merge at group size m = N, using
-    alpha = N - 1 ancillas.
-    """
-    if not hwp:
-        return StepCost(n_rot=2 * n * n + 4 * n, n_t=10 * n, n_qubits=2 * n,
-                        boundary_extra_rot=2 * n * n - n)
-    layers = 2 * n + 4
-    n_rot = layers * _hwp_rotations(n)
-    n_tof = layers * (n - 1)
-    return StepCost(n_rot=n_rot, n_t=10 * n + TOFFOLI_T * n_tof, n_tof=n_tof,
-                    n_qubits=3 * n - 1, hwp_m=n, alpha=n - 1,
-                    boundary_extra_rot=(2 * n - 1) * _hwp_rotations(n))
+def step_cost_ppp(n: int, m: int = 1) -> StepCost:
+    """Periodic hexagonal all-to-all Coulomb model: 2N - 1 distance-grouped
+    Coulomb layers plus 5 hopping layers of N rotations, with 2N - 1 layers
+    of first/last-step Coulomb overhead."""
+    return _step_cost_periodic(n, m, 2 * n + 4, 2 * n - 1)

@@ -38,16 +38,8 @@ class PauliSum:
 
     # -- construction helpers ------------------------------------------------
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {(0, 0): coeff})
-
-    @classmethod
-    def z(cls, n_qubits: int, q: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 1 << q): coeff})
 
     @classmethod
     def from_word(cls, n_qubits: int, word: dict, coeff: complex = 1.0) -> "PauliSum":

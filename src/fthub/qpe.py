@@ -28,7 +28,8 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .gatecount import StepCost, step_cost_periodic_extended, step_cost_periodic_hubbard
+from .gatecount import (StepCost, step_cost_periodic_extended,
+                        step_cost_periodic_hubbard, step_cost_ppp)
 from .qubitization import WalkCosts, walk_costs
 
 PE_STEP_CONSTANT = 6.203
@@ -84,7 +85,7 @@ def optimize_x(step: StepCost, w: float, eps: float) -> float:
     return 0.5 * (a + b)
 
 
-def _check_eps(eps: float):
+def check_eps(eps: float):
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
     if eps <= 0:
@@ -101,7 +102,7 @@ def trotter_qpe(step: StepCost, w: float, eps: float,
     """Total T budget for Trotterized phase estimation at accuracy eps."""
     if w <= 0:
         raise ValueError("error norm must be positive")
-    _check_eps(eps)
+    check_eps(eps)
     try:
         # a tiny eps underflows eps**1.5 to 0, a huge one overflows it
         if PE_STEP_CONSTANT * math.sqrt(w) / eps ** 1.5 < 1:
@@ -134,7 +135,7 @@ def trotter_qpe(step: StepCost, w: float, eps: float,
 
 def qubitized_qpe(walk: WalkCosts, eps: float) -> QpeEstimate:
     """Total T budget for qubitized phase estimation at accuracy eps."""
-    _check_eps(eps)
+    check_eps(eps)
     try:
         n_walk = math.ceil(math.pi * walk.lam / (2 * eps))
         total_t = float(n_walk * walk.per_walk_t + (4 * n_walk - 4))
@@ -158,31 +159,34 @@ def qubitized_qpe(walk: WalkCosts, eps: float) -> QpeEstimate:
 # sweeps
 
 
+# alpha rule -> HWP group size m (alpha = m - 1 ancillas) for N sites
+ALPHA_RULES = {"0": lambda n: 1, "N/4-1": lambda n: n // 4,
+               "N/2-1": lambda n: n // 2, "N-1": lambda n: n}
+
+# model -> periodic step cost of N sites at HWP group size m
+_PERIODIC_STEP = {"hubbard": step_cost_periodic_hubbard,
+                  "extended_hubbard": step_cost_periodic_extended,
+                  "ppp": step_cost_ppp}
+
+
 def alpha_to_m(n: int, alpha_rule: str) -> int:
-    """Hamming-weight-phasing ancilla count m for an alpha rule of N sites."""
-    if alpha_rule == "0":
-        return 1
-    if alpha_rule == "N/4-1":
-        return n // 4
-    if alpha_rule == "N/2-1":
-        return n // 2
-    if alpha_rule == "N-1":
-        return n
-    raise ValueError(f"unknown alpha rule {alpha_rule!r}")
+    """Hamming-weight-phasing group size m for an alpha rule of N sites."""
+    if alpha_rule not in ALPHA_RULES:
+        raise ValueError(f"unknown alpha rule {alpha_rule!r}")
+    return ALPHA_RULES[alpha_rule](n)
 
 
 def hubbard_step(n: int, model: str, alpha_rule: str) -> StepCost:
+    """Step cost of a periodic model of N sites under an alpha rule."""
     m = alpha_to_m(n, alpha_rule)
-    if model == "hubbard":
-        return step_cost_periodic_hubbard(n, m)
-    if model == "extended_hubbard":
-        return step_cost_periodic_extended(n, m)
-    raise ValueError(f"no periodic step costing for model {model!r}")
+    if model not in _PERIODIC_STEP:
+        raise ValueError(f"no periodic step costing for model {model!r}")
+    return _PERIODIC_STEP[model](n, m)
 
 
 def crossover_sweep(w_by_n: dict, eps_rule, l_values,
                     model: str = "hubbard",
-                    alpha_rules=("0", "N/2-1"),
+                    alpha_rules=tuple(ALPHA_RULES),
                     methods=("trotter", "qubitized"),
                     tau: float = 1.0, u: float = 4.0,
                     theta: int = 10, gamma: int = 40) -> list:

@@ -141,14 +141,18 @@ class WalkCosts:
         return json.dumps(self.element_ledger, indent=1, sort_keys=True)
 
 
-def walk_costs(l: int, tau: float = 1.0, u: float = 4.0,
-               theta: int = DEFAULT_THETA, gamma: int = DEFAULT_GAMMA) -> WalkCosts:
-    """All walk-operator costs for an L x L periodic hexagonal lattice."""
-    # theta and gamma are T counts per synthesized rotation
+def check_rotation_costs(theta: int, gamma: int):
+    """Raise unless theta and gamma (T per synthesized rotation) are >= 1."""
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
+
+
+def walk_costs(l: int, tau: float = 1.0, u: float = 4.0,
+               theta: int = DEFAULT_THETA, gamma: int = DEFAULT_GAMMA) -> WalkCosts:
+    """All walk-operator costs for an L x L periodic hexagonal lattice."""
+    check_rotation_costs(theta, gamma)
     n = 2 * l * l
     rows = element_ledger(l, l, theta, gamma)
     warnings = []

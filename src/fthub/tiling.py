@@ -123,12 +123,6 @@ class Section:
     color: str
     tiles: tuple
 
-    def site_set(self) -> set:
-        out = set()
-        for t in self.tiles:
-            out.update(t.sites)
-        return out
-
 
 @dataclass(frozen=True)
 class SectionCover:

@@ -57,7 +57,7 @@ class BoundUnsupportedError(ValueError):
     """Raised when no error-norm bound is implemented for a model/lattice."""
 
 
-_MODELS = ("hubbard", "extended_hubbard", "ppp")
+MODELS = ("hubbard", "extended_hubbard", "ppp")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ModelParams:
     v: float = 0.0
 
     def __post_init__(self):
-        if self.model not in _MODELS:
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if not all(math.isfinite(x) for x in (self.tau, self.u, self.v)):
             raise ValueError("model parameters must be finite")

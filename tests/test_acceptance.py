@@ -13,11 +13,12 @@ from fthub.lattice import build_periodic_hex, ring_lattice, single_hexagon
 from fthub.oracle import (verify_chemical_shifts, verify_commutator_bounds,
                           verify_commutator_rules, verify_ff_norm,
                           verify_tile_evolution, verify_trotter_step)
-from fthub.qpe import alpha_to_m, hubbard_step, qubitized_qpe, trotter_qpe
+from fthub.qpe import (ALPHA_RULES, alpha_to_m, hubbard_step, qubitized_qpe,
+                       trotter_qpe)
 from fthub.qubitization import (element_ledger, ledger_prepare_t, prepare_cost,
                                 reflection_cost, select_cost, walk_costs,
                                 walk_qubits)
-from fthub.refdata import ALPHA_RULES, STEP_TABLE, TABLE_L, TABLE_N, W_TILE
+from fthub.refdata import STEP_TABLE, TABLE_L, TABLE_N, W_TILE
 from fthub.tiling import cover_hex_fragment, cover_periodic_hex
 from fthub.trotterbounds import ModelParams, w_tile
 

@@ -1,6 +1,8 @@
 import csv
+import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,12 +110,39 @@ class TestSmallCommands:
         assert doc["n_rot"] == 72
         assert doc["n_t"] == 1808
 
-    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard", "ppp"])
     @pytest.mark.parametrize("alpha", ["0", "N/4-1", "N/2-1", "N-1"])
     def test_periodic_gates_are_the_qpe_step(self, capsys, model, alpha):
         assert run_cli(["gates", "--L", "6", "--model", model,
                         "--alpha", alpha]) == 0
         assert capsys.readouterr().out == hubbard_step(72, model, alpha).to_json() + "\n"
+
+    def test_ppp_gates_take_the_quarter_rule(self, capsys):
+        assert run_cli(["gates", "--model", "ppp", "--L", "4",
+                        "--alpha", "N/4-1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["hwp_m"], doc["alpha"]) == (8, 7)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lattice", "--cells", "[[0,0]]"], "periodic_hex reads no --cells"),
+        (["cover", "--lattice", "periodic_hex", "--cells", "[[0,0]]"],
+         "periodic_hex reads no --cells"),
+        (["bounds", "--lattice", "square_fragment", "--cells", "[[0,0]]"],
+         "square_fragment reads no --cells"),
+        (["gates", "--cells", "[[0,0]]"], "periodic_hex reads no --cells"),
+        (["lattice", "--lattice", "hex_fragment", "--L", "4"],
+         "hex_fragment reads no --L"),
+        (["gates", "--lattice", "hex_fragment", "--L", "6"],
+         "hex_fragment reads no --L"),
+        (["gates", "--lattice", "periodic_hex", "--cover", "/nonexistent"],
+         "periodic_hex reads no --cover"),
+    ])
+    def test_unread_lattice_flag_exit_2(self, capsys, argv, message):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize("flags,message", [
         (["--model", "extended_hubbard"], "costs only the hubbard model"),
@@ -209,6 +238,12 @@ class TestSmallCommands:
         (["gates", "--L", "0"], "periodic hex needs"),
         (["qpe", "--L", "4", "--eps", "1e6"], "is out of range"),
         (["qpe", "--L", "4", "--eps", "50"], "is out of range"),
+        (["qpe", "--L", "4", "--alpha", "0,foo"], "unknown alpha rule 'foo'"),
+        (["qpe", "--L", "2", "--eps", "nan"], "eps must be finite"),
+        (["qpe", "--L", "2", "--theta", "0"], "theta must be >= 1"),
+        (["qpe", "--L", "2", "--gamma", "-3"], "gamma must be >= 1"),
+        (["qpe", "--L", "2", "--alpha", "foo", "--eps", "nan"],
+         "unknown alpha rule 'foo'"),
     ])
     def test_bad_qpe_and_gates_input_exit_2(self, capsys, argv, message):
         assert run_cli(argv) == 2
@@ -258,6 +293,18 @@ class TestFlagContract:
         assert run_cli([command, "--help"]) == 0
         flags = set(re.findall(r"--(\w+)", capsys.readouterr().out))
         assert flags == READS[command] | {"config", "out", "help"}
+
+    def test_readme_flag_table_is_the_parser(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| subcommand | flags (default) |") + 2
+        documented = {}
+        for line in itertools.takewhile(lambda s: s.startswith("|"),
+                                        lines[start:]):
+            _, names, flags, _ = line.split("|")
+            for name in re.findall(r"`(\w+)`", names):
+                documented[name] = tuple(re.findall(r"`--(\w+)`", flags))
+        assert documented == {name: options
+                              for name, (_, options) in cli.COMMANDS.items()}
 
     def test_other_subcommands_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -127,18 +127,18 @@ class TestPeriodicExtended:
 
 class TestPpp:
     def test_no_hwp(self):
-        step = step_cost_ppp(32, hwp=False)
+        step = step_cost_ppp(32, 1)
         assert step.n_rot == 2 * 32 * 32 + 4 * 32 == 2176
         assert step.n_t == 320
         assert step.n_qubits == 64
 
     def test_hwp(self):
-        step = step_cost_ppp(32, hwp=True)
+        step = step_cost_ppp(32, 32)
         assert step.n_rot == 68 * 6 == 408
         assert step.n_tof == 2 * 32 * 32 + 2 * 32 - 4
         assert step.n_t == 8 * 1024 + 18 * 32 - 16 == 8752
         assert step.n_qubits == 3 * 32 - 1
 
     def test_hwp_t_identity(self):
-        step = step_cost_ppp(128, hwp=True)
+        step = step_cost_ppp(128, 128)
         assert step.n_t == 10 * 128 + 4 * step.n_tof

@@ -179,7 +179,7 @@ class TestScaling:
 class TestSweep:
     def test_rows_and_csv(self, hex44):
         w_by_n = {32: 215.0}
-        rows = crossover_sweep(w_by_n, 0.05, [4])
+        rows = crossover_sweep(w_by_n, 0.05, [4], alpha_rules=("0", "N/2-1"))
         methods = [r["method"] for r in rows]
         assert methods.count("trotter") == 2 and methods.count("qubitized") == 1
         text = rows_to_csv(rows)
