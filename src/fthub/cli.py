@@ -174,6 +174,10 @@ def cmd_qpe(args) -> int:
 
 def cmd_bounds(args) -> int:
     lattice = _build_lattice(args)
+    if args.lattice == "square_fragment":
+        # neither model has a bound there; say so before building a cover
+        raise ValueError("bounds has no error-norm bound on --lattice "
+                         "square_fragment")
     cover = _build_cover(lattice, args.cover)
     params = ModelParams(args.model, tau=args.tau, u=args.U, v=args.V)
     breakdown = w_tile(lattice, cover, params)

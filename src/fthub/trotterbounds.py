@@ -27,6 +27,17 @@ block, the dense matrix; so is a lattice of at most
 ``freefermion.DENSE_MAX_SITES`` sites, which keeps the outputs pinned by the
 reference data bit-identical.
 
+The hopping norms depend on the geometry alone, not on (U, V, tau), and are
+memoized per process: (T12, T24) of a cover, |R|_1 of a lattice, and the
+raw star values (k, |S_k|_1, |i[S_k, R]|_1 and the maxima over the
+(k-1)-edge stars).  Each sits in a private ``functools.lru_cache`` of
+``_GEOMETRY_MEMO_SIZE`` entries, keyed by the content the norm reads: the
+lattice's (kind, dims, n_sites, edges) and, for a cover, also its ordered
+sections.  Lattices and covers built separately with equal content share an
+entry.  The memo holds floats only; the tau scaling is applied after the
+lookup with the expressions of the unmemoized code, so every output is
+bit-identical to a cold evaluation.
+
 On 3-regular lattices the neighbor-interaction bound is pinned to the
 tabulated constant 3*V*tau^2*N*(16 + 2*sqrt(3)) that the reference
 error-norm table is built on.  A strict evaluation of the same bound through
@@ -37,6 +48,7 @@ the substitution is auditable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -95,11 +107,56 @@ class TrotterErrorBreakdown:
 
 
 # ---------------------------------------------------------------------------
+# geometry memo
+
+# entries per memoized norm; one process meets few geometries (table2 and a
+# qpe sweep share the 8 lattices L = 4..18 and their covers)
+_GEOMETRY_MEMO_SIZE = 32
+
+
+class _Geometry:
+    """A lattice or cover as the argument of a memoized norm: hashed and
+    compared by ``key``, the content the norm reads, never by identity.  The
+    norm reads ``obj`` on a miss only, and ``_memoized`` drops it after the
+    call, so the memo keeps no lattice or cover alive."""
+
+    __slots__ = ("key", "obj", "_hash")
+
+    def __init__(self, key, obj):
+        self.key, self.obj, self._hash = key, obj, hash(key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+def _lattice_key(lattice: LatticeGraph) -> tuple:
+    return (lattice.kind, lattice.dims, lattice.n_sites, lattice.edges)
+
+
+def _memoized(memo, key, obj):
+    """``memo`` of ``obj``, looked up by ``key``."""
+    geometry = _Geometry(key, obj)
+    try:
+        return memo(geometry)
+    finally:
+        geometry.obj = None
+
+
+# ---------------------------------------------------------------------------
 # Coulomb/hopping split
 
 
 def _adjacency_schatten1(lattice: LatticeGraph) -> float:
     """|R|_1 of the lattice adjacency, summed over its translation blocks."""
+    return _memoized(_adjacency_norm, _lattice_key(lattice), lattice)
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
+def _adjacency_norm(geometry: _Geometry) -> float:
+    lattice = geometry.obj
     return schatten1(translation_blocks(lattice, [lattice.edges]))
 
 
@@ -137,11 +194,26 @@ def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
     """Single-sector norms of the k- and (k-1)-edge local hopping stars, and of
     their commutators with the full hopping Hamiltonian, at a representative
     site (the lattice must be regular, making the values site independent):
-    tau |S|_1 / 2 and tau^2 |i[S, R]|_1 / 2.
+    tau |S|_1 / 2 and tau^2 |i[S, R]|_1 / 2, the (k-1)-star values maximised
+    over the dropped bond."""
+    k, s_k, c_k, s_km1, c_km1 = _memoized(_star_values, _lattice_key(lattice),
+                                          lattice)
+    # rounding is monotone for tau > 0, so scaling the maxima equals the
+    # maxima of the scaled values
+    return {"k": k, "norm_k": tau * s_k / 2.0, "comm_k": c_k * tau / 2.0 * tau,
+            "norm_km1": tau * s_km1 / 2.0,
+            "comm_km1": c_km1 * tau / 2.0 * tau}
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
+def _star_values(geometry: _Geometry) -> tuple:
+    """k, |S_k|_1, |i[S_k, R]|_1, and the largest |S|_1 and |i[S, R]|_1 over
+    the (k-1)-edge stars S, at site 0.
 
     A star S at site 0 lives on the site and its neighbors, so [S, R] is
     nonzero only on the 2-hop ball around site 0 and needs only the entries
     of R inside it: both norms are evaluated exactly on that ball."""
+    lattice = geometry.obj
     k = regular_degree(lattice)
     if k is None:
         raise BoundUnsupportedError("star norms need a k-regular lattice")
@@ -162,23 +234,16 @@ def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
             mat[0, exclude] = mat[exclude, 0] = 0
         return mat
 
-    def norm(s):
-        return tau * schatten1(s) / 2.0
-
     def comm(s):
         # i[S, R] is Hermitian; its eigenvalues are the singular values of
         # [S, R] up to sign
-        return schatten1(1j * _commutator_hh(s, full)) * tau / 2.0 * tau
+        return schatten1(1j * _commutator_hh(s, full))
 
     s_k = star()
-    norm_k, comm_k = norm(s_k), comm(s_k)
-    norm_km1 = comm_km1 = 0.0
-    for j in range(1, k + 1):
-        s = star(exclude=j)
-        norm_km1 = max(norm_km1, norm(s))
-        comm_km1 = max(comm_km1, comm(s))
-    return {"k": k, "norm_k": norm_k, "comm_k": comm_k,
-            "norm_km1": norm_km1, "comm_km1": comm_km1}
+    stars_km1 = [star(exclude=j) for j in range(1, k + 1)]
+    return (k, schatten1(s_k), comm(s_k),
+            max((schatten1(s) for s in stars_km1), default=0.0),
+            max((comm(s) for s in stars_km1), default=0.0))
 
 
 def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBreakdown:
@@ -241,6 +306,15 @@ def w_h(cover: SectionCover, tau: float) -> float:
     and every T12 term of its pair: a three-section cover costs 3 + 8 block
     products.
     """
+    t12, t24 = _memoized(_section_sums, (_lattice_key(cover.lattice),
+                                         cover.sections), cover)
+    return tau**3 * (t12 / 12.0 + t24 / 24.0)
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
+def _section_sums(geometry: _Geometry) -> tuple:
+    """(T12, T24) of the cover ``geometry.obj``; see ``w_h``."""
+    cover = geometry.obj
     blocks = translation_blocks(
         cover.lattice, [[e for tile in sec.tiles for e in tile.edges]
                         for sec in cover.sections])
@@ -252,7 +326,7 @@ def w_h(cover: SectionCover, tau: float) -> float:
             t24 += schatten1(_commutator_ah(inner, blocks[b]))
             for a in range(b + 1, m):
                 t12 += schatten1(_commutator_ah(inner, blocks[a]))
-    return tau**3 * (t12 / 12.0 + t24 / 24.0)
+    return t12, t24
 
 
 # ---------------------------------------------------------------------------

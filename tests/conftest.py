@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fthub import trotterbounds
 from fthub.lattice import build_hex_fragment, build_periodic_hex, ring_lattice, single_hexagon
 from fthub.tiling import cover_hex_fragment, cover_periodic_hex
 from fthub.trotterbounds import ModelParams
@@ -39,6 +40,22 @@ def section_adjacency(cover, s):
         for i, j in tile.edges:
             mat[i, j] = mat[j, i] = 1
     return mat
+
+
+def clear_geometry_memos():
+    """Empty every memoized norm of ``trotterbounds``."""
+    for memo in vars(trotterbounds).values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_geometry_memo():
+    """Every test starts with empty norm memos: a value memoized by an
+    earlier test, possibly on another evaluation path (one dense block
+    against Bloch blocks), would otherwise stand in for the path under
+    test."""
+    clear_geometry_memos()
 
 
 # 5 x 5 parallelogram patch: 70 sites, 22 edge sites, 48 center sites

@@ -256,6 +256,19 @@ class TestSmallCommands:
         assert run_cli(["bounds", "--tau", "abc"]) == 2
         assert "invalid float value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    def test_square_fragment_bounds_exit_2_before_the_cover(
+            self, monkeypatch, capsys, model):
+        def refuse(*_args):
+            raise AssertionError("cover built")
+        monkeypatch.setattr(cli, "_build_cover", refuse)
+        assert run_cli(["bounds", "--lattice", "square_fragment",
+                        "--model", model]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "square_fragment" in err
+
     def test_invalid_model_lattice_combo_exit_2(self, tmp_path):
         out = tmp_path / "x.json"
         code = run_cli(["bounds", "--lattice", "hex_fragment",

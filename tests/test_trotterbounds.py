@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import section_adjacency, star_matrix
+from conftest import clear_geometry_memos, section_adjacency, star_matrix
 from fthub import cli, freefermion, trotterbounds
 from fthub.freefermion import schatten1, translation_blocks, translation_periods
 from fthub.lattice import build_periodic_hex, hex_site_index
@@ -271,8 +271,18 @@ class TestTranslationBlocks:
     @pytest.fixture
     def blocked(self, monkeypatch):
         """Bloch blocks at every lattice size, not only above the dense
-        threshold."""
+        threshold; the test must evaluate some matrix on K > 1 blocks."""
         monkeypatch.setattr(freefermion, "DENSE_MAX_SITES", 0)
+        n_blocks = []
+
+        def recorded(lattice, edge_sets):
+            blocks = translation_blocks(lattice, edge_sets)
+            n_blocks.append(blocks.shape[1])
+            return blocks
+
+        monkeypatch.setattr(trotterbounds, "translation_blocks", recorded)
+        yield
+        assert max(n_blocks, default=1) > 1, "no Bloch blocks evaluated"
 
     @pytest.mark.parametrize("l", range(4, 19, 2))
     @pytest.mark.parametrize("model,v", [("hubbard", 0.0),
@@ -373,3 +383,77 @@ class TestTranslationBlocks:
                          "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert math.isfinite(doc["w_tile"]) and doc["w_tile"] > 0
+
+
+MEMOS = (trotterbounds._adjacency_norm, trotterbounds._star_values,
+         trotterbounds._section_sums)
+
+
+class TestGeometryMemo:
+    """The memoized hopping norms give the cold values bit for bit."""
+
+    def _warm_equals_cold(self, lattice, cover, params, other):
+        # warm at other couplings and tau, so the hit is scaled afresh
+        w_tile(lattice, cover, other)
+        warm = w_tile(lattice, cover, params)
+        assert trotterbounds._adjacency_norm.cache_info().hits
+        assert trotterbounds._section_sums.cache_info().hits
+        clear_geometry_memos()
+        cold = w_tile(lattice, cover, params)
+        assert warm.components == cold.components
+        assert (warm.w_so2, warm.w_h) == (cold.w_so2, cold.w_h)
+
+    @pytest.mark.parametrize("l", [*range(4, 19, 2), 22, 24])
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    def test_periodic_warm_equals_cold(self, l, model):
+        lattice, cover = _periodic(l)
+        v = 1.5 if model == "extended_hubbard" else 0.0
+        self._warm_equals_cold(lattice, cover,
+                               ModelParams(model, tau=0.7, u=3.0, v=v),
+                               ModelParams(model, tau=1.3, u=0.5, v=2 * v))
+
+    def test_fragment_warm_equals_cold(self, parallelogram):
+        cover = cover_hex_fragment(parallelogram)
+        self._warm_equals_cold(parallelogram, cover,
+                               ModelParams("hubbard", tau=0.7, u=3.0),
+                               ModelParams("hubbard", tau=0.2, u=1.0))
+
+    def test_reversed_sections_are_their_own_entry(self, hex44, cover44,
+                                                   extended_params):
+        reverse = SectionCover(hex44, cover44.sections[::-1])
+        w_tile(hex44, cover44, extended_params)
+        w_tile(hex44, reverse, extended_params)
+        info = trotterbounds._section_sums.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+        self._warm_equals_cold(hex44, reverse, extended_params,
+                               ModelParams("extended_hubbard", tau=0.3))
+
+    def test_equal_lattices_share_an_entry(self, extended_params):
+        first, second = build_periodic_hex(6, 6), build_periodic_hex(6, 6)
+        assert first is not second
+        values = [w_tile(lat, cover_periodic_hex(lat), extended_params)
+                  for lat in (first, second)]
+        assert values[0].components == values[1].components
+        for memo in MEMOS:
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_mutated_components_do_not_leak(self, hex44, cover44,
+                                            extended_params):
+        first = w_tile(hex44, cover44, extended_params)
+        expected = dict(first.components)
+        first.components.clear()
+        first.w_h = 0.0
+        again = w_tile(hex44, cover44, extended_params)
+        assert again.components == expected
+        assert again.w_h == expected["w_h"]
+
+    def test_unsupported_lattice_leaves_no_entry(self, parallelogram,
+                                                 extended_params):
+        cover = cover_hex_fragment(parallelogram)
+        for _ in range(2):
+            with pytest.raises(BoundUnsupportedError):
+                w_tile(parallelogram, cover, extended_params)
+            with pytest.raises(BoundUnsupportedError):
+                trotterbounds._star_norms(parallelogram, 1.0)
+        assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
