@@ -30,8 +30,8 @@ from .lattice import (build_hex_fragment, build_periodic_hex,
 from .oracle import run_suite
 from .qpe import crossover_sweep, hubbard_step, rows_to_csv
 from .qubitization import check_rotation_costs
-from .tiling import (cover_from_json, cover_hex_fragment, cover_periodic_hex,
-                     cover_to_json, validate_cover)
+from .tiling import (check_cover_dims, cover_from_json, cover_hex_fragment,
+                     cover_periodic_hex, cover_to_json, validate_cover)
 from .trotterbounds import MODELS, ModelParams, w_tile
 
 
@@ -150,7 +150,9 @@ def _w_by_n(model: str, l_values, u: float, v: float, tau: float) -> dict:
 
 
 def cmd_qpe(args) -> int:
-    # checked here too, so that a sweep with no lattice size checks them
+    # checked here too, so that a sweep with no lattice size checks them;
+    # tau first, since the fixed eps below is eps * tau
+    ModelParams(args.model, tau=args.tau)
     alpha_rules = tuple(args.alpha.split(","))
     for rule in alpha_rules:
         qpe.alpha_to_m(0, rule)
@@ -191,6 +193,8 @@ def cmd_gates(args) -> int:
         # the periodic step costs read N alone
         if args.cover:
             raise ValueError("gates on a periodic_hex reads no --cover")
+        # the step is the cost of the three-section cover, so it must exist
+        check_cover_dims(*lattice.dims)
         step = hubbard_step(lattice.n_sites, args.model, args.alpha)
     else:
         # step_cost_fragment costs the on-site model without HWP ancillas

@@ -169,11 +169,19 @@ def build_hex_fragment(cells) -> LatticeGraph:
 
     Site set is the union of the faces' sites; bonds are all infinite-lattice
     bonds between included sites.  Sites of degree 2 are classified as edge
-    sites, degree 3 as center sites.
+    sites, degree 3 as center sites.  ``cells`` must be a non-empty list of
+    (l, m) integer pairs; anything else (a bool included) raises
+    :class:`LatticeError`.
     """
-    cells = [tuple(c) for c in cells]
-    if not cells:
-        raise LatticeError("fragment needs at least one hexagon cell")
+    if not isinstance(cells, (list, tuple)) or not cells:
+        raise LatticeError("fragment needs a non-empty list of hexagon cells")
+    for cell in cells:
+        if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                and all(isinstance(v, (int, np.integer))
+                        and not isinstance(v, bool) for v in cell)):
+            raise LatticeError(f"hexagon cell {cell!r} is not a pair of "
+                               f"integers")
+    cells = [(int(l), int(m)) for l, m in cells]
     if len(set(cells)) != len(cells):
         raise LatticeError("duplicate hexagon cells")
 

@@ -13,6 +13,17 @@ The nested commutators behind the Coulomb/hopping bounds are taken on the
 sector blocks of the hopping operator, with the one-product commutator of
 ``freefermion`` and the Coulomb diagonals, and share the eigensolve loop of
 ``exact_spectral_norm``; no Pauli product is formed for them.
+
+The two lattice-aware checks (commutator bounds and the Trotter step) solve
+one sector per symmetry orbit.  Spin flip swaps qubits 2i and 2i + 1 and
+maps sector (a, b) to (b, a); on a lattice whose edges admit a 2-colouring,
+particle-hole flips every qubit and maps (a, b) to (N - a, N - b).  Each
+acts on basis states as a signed permutation, |m> -> eps(m) |pi(m)>.  A
+mirror sector is skipped only after its own blocks pass a check: every
+compiled operator of the check must satisfy
+block(pi(m)) = outer(eps, eps) * block(m) to ``LEAK_RTOL`` of its largest
+entry, and every Z diagonal d must satisfy d[pi(m)] == d[m].  A sector that
+fails is solved on its own, as it would be without the symmetries.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import numpy as np
 
 from .freefermion import _commutator_ah, schatten1
 from .lattice import LatticeGraph, regular_degree
-from .pauli import PauliSum
+from .pauli import _PARITY16, PauliSum
 from .tiling import SectionCover, chain_rotation, tile_catalog
 from .trotterbounds import ModelParams, TrotterErrorBreakdown, w_so2_extended
 
@@ -157,6 +168,56 @@ def _spin_labels(n_qubits: int) -> np.ndarray:
     return up * (n_qubits + 1) + dn
 
 
+def _two_colouring(lattice: LatticeGraph) -> np.ndarray | None:
+    """Colour 0 or 1 of every site with the two ends of each edge coloured
+    differently, or None when the lattice has an odd cycle."""
+    nbrs: list = [[] for _ in range(lattice.n_sites)]
+    for i, j in lattice.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    colour = np.full(lattice.n_sites, -1)
+    for start in range(lattice.n_sites):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in nbrs[i]:
+                if colour[j] < 0:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+                elif colour[j] == colour[i]:
+                    return None
+    return colour
+
+
+def _symmetry_maps(lattice: LatticeGraph) -> list:
+    """(pi, eps) of each non-trivial element of the group generated by spin
+    flip and, on a 2-colourable lattice, particle-hole: the element maps
+    basis state m to eps[m] |pi[m]>.  Signs that depend only on the sector
+    are left out; they do not change a block's spectrum.
+
+    Spin flip swaps qubits 2i and 2i + 1, with eps = (-1)^(sum_i n_iup
+    n_idown) from reordering each doubly occupied site.  Particle-hole flips
+    every qubit, with eps = (-1)^(electrons on colour-1 sites), the
+    staggered sign that keeps the hopping term.  The third element is their
+    product."""
+    n_qubits = 2 * lattice.n_sites
+    idx = np.arange(1 << n_qubits)
+    up = sum(1 << orbital(i, 0) for i in range(lattice.n_sites))
+    flip = ((idx & up) << 1) | ((idx >> 1) & up)
+    flip_sign = 1.0 - 2.0 * _PARITY16[idx & (idx >> 1) & up]
+    maps = [(flip, flip_sign)]
+    colour = _two_colouring(lattice)
+    if colour is not None:
+        odd = sum(3 << orbital(i, 0) for i in np.flatnonzero(colour))
+        hole = idx ^ (idx.size - 1)
+        hole_sign = 1.0 - 2.0 * _PARITY16[idx & odd]
+        maps += [(hole, hole_sign), (flip[hole], hole_sign * flip_sign[hole])]
+    return maps
+
+
 def _leak(groups: dict, labels: np.ndarray) -> float:
     """Largest |d_x[i]| over the states i that X^x moves to another label,
     relative to the largest entry of any d_x."""
@@ -180,6 +241,47 @@ def _label_sets(labels: np.ndarray) -> list:
         raise SizeLimitError(f"a {largest}-state block exceeds the cap of "
                              f"{MAX_BLOCK}")
     return sets
+
+
+def _orbit_sets(labels: np.ndarray, maps: list, ops: list,
+                diags: list) -> list:
+    """The label sets of ``_label_sets``, in its order, less every set that
+    one of the signed ``maps`` (``_symmetry_maps``) carries an earlier kept
+    set onto.  The image counts as covered only if it is that whole set,
+    the dense blocks of every compiled operator in ``ops`` match on it up to
+    the signs, and every Z diagonal in ``diags`` is equal there; otherwise
+    it is kept and solved on its own."""
+    sets = _label_sets(labels)
+    where = {int(labels[m[0]]): k for k, m in enumerate(sets)}
+    covered = set()
+    kept = []
+    for k, members in enumerate(sets):
+        if k in covered:
+            continue
+        kept.append(members)
+        for perm, sign in maps:
+            image = perm[members]
+            j = where[int(labels[image[0]])]
+            if (j > k and j not in covered
+                    and np.array_equal(np.sort(image), sets[j])
+                    and _mirrors(members, image, sign[members], ops, diags,
+                                 labels.size)):
+                covered.add(j)
+    return kept
+
+
+def _mirrors(members: np.ndarray, image: np.ndarray, sign: np.ndarray,
+             ops: list, diags: list, dim: int) -> bool:
+    """Whether every operator of ``ops`` has on ``image`` the block it has on
+    ``members``, conjugated by diag(``sign``), and every diagonal of
+    ``diags`` the same entries."""
+    outer = sign[:, None] * sign[None, :]
+    for groups in ops:
+        block = _block(groups, members, dim)
+        gap = np.abs(_block(groups, image, dim) - outer * block).max()
+        if gap > LEAK_RTOL * np.abs(block).max():
+            return False
+    return all(np.array_equal(d[image], d[members]) for d in diags)
 
 
 def _block(groups: dict, members: np.ndarray, dim: int) -> np.ndarray:
@@ -219,13 +321,13 @@ def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
     return groups.get(0, np.zeros(1 << op.n_qubits)).real
 
 
-def _sector_norms(labels: np.ndarray, blocks_of) -> list:
-    """Largest |eigenvalue| of each of several Hermitian operators that leave
-    every label set invariant.  ``blocks_of(members)`` returns the operators'
-    dense blocks on the basis states ``members``, built together so that they
-    can share work."""
+def _sector_norms(sets: list, blocks_of) -> list:
+    """Largest |eigenvalue| of each of several Hermitian operators over the
+    invariant basis-state sets ``sets``.  ``blocks_of(members)`` returns the
+    operators' dense blocks on the basis states ``members``, built together
+    so that they can share work."""
     peaks = [[float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks_of(m)]
-             for m in _label_sets(labels)]
+             for m in sets]
     return np.max(peaks, axis=0).tolist()
 
 
@@ -244,7 +346,8 @@ def exact_spectral_norm(op: PauliSum) -> float:
     labels = _spin_labels(op.n_qubits)
     if _leak(groups, labels) > LEAK_RTOL:
         labels = np.zeros_like(labels)
-    return _sector_norms(labels, lambda m: [_block(groups, m, labels.size)])[0]
+    return _sector_norms(_label_sets(labels),
+                         lambda m: [_block(groups, m, labels.size)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +451,8 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
     is taken on the sector blocks h of H: [[C, H], C] elementwise as
     -(c_i - c_j)^2 h_ij, and [[D, H], H] for D = I, V as [X, h] with the
     anti-Hermitian X_ij = (d_i - d_j) h_ij, in one block product.  No Pauli
-    product is formed.
+    product is formed.  One sector per symmetry orbit is solved
+    (``_orbit_sets``).
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
@@ -369,9 +473,10 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
                 _commutator_ah(gap_v * h, h)]
 
     name = f"{lattice.kind}/N={lattice.n_sites} U={u} V={v}"
+    sets = _orbit_sets(labels, _symmetry_maps(lattice), [hop], [d_i, d_v])
     checks = []
     for label, exact in zip(("comm_CHC", "comm_IHH", "comm_VHH"),
-                            _sector_norms(labels, nested)):
+                            _sector_norms(sets, nested)):
         bound = bounds[label + "_bound"]
         checks.append({"check": label, "instance": name, "exact": exact,
                        "bound": bound,
@@ -391,7 +496,8 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     The step is exp(-i H_C t/2) prod_s exp(-i H_s t/2) (reverse) exp(-i H_C t/2).
     Every factor conserves both spin-sector electron numbers (checked on the
     compiled operators), so the unitary difference is evaluated exactly as
-    the largest per-block singular value over those invariant subspaces.
+    the largest per-block singular value over those invariant subspaces,
+    one sector per symmetry orbit (``_orbit_sets``).
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
@@ -406,7 +512,8 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     c_diag = _diag_of_z_sum(coulomb)
 
     errs = [0.0] * len(t_list)
-    for members in _label_sets(labels):
+    for members in _orbit_sets(labels, _symmetry_maps(lattice), groups,
+                               [c_diag]):
         (vals, vecs), *sec = [np.linalg.eigh(_block(g, members, labels.size))
                            for g in groups]
         cd = c_diag[members]

@@ -138,6 +138,13 @@ class SectionCover:
 # periodic hexagonal cover
 
 
+def check_cover_dims(l_x: int, l_y: int):
+    """Raise ``CoverError`` unless the three-section cover of an l_x x l_y
+    periodic hexagonal lattice exists."""
+    if l_x % 2 or l_y % 2:
+        raise CoverError("three-section S2 cover needs even lattice dimensions")
+
+
 def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
     """Three-section S2 cover of the periodic hexagonal lattice.
 
@@ -146,9 +153,8 @@ def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
     """
     if lattice.kind != "periodic_hex":
         raise CoverError("cover_periodic_hex needs a periodic_hex lattice")
+    check_cover_dims(*lattice.dims)
     l_x, l_y = lattice.dims
-    if l_x % 2 or l_y % 2:
-        raise CoverError("three-section S2 cover needs even lattice dimensions")
 
     def s(l, m, c):
         return hex_site_index(l, m, c, l_x, l_y)

@@ -244,9 +244,39 @@ class TestSmallCommands:
         (["qpe", "--L", "2", "--gamma", "-3"], "gamma must be >= 1"),
         (["qpe", "--L", "2", "--alpha", "foo", "--eps", "nan"],
          "unknown alpha rule 'foo'"),
+        (["qpe", "--L", "2", "--tau", "-1"], "tau must be positive"),
+        (["qpe", "--L", "4", "--tau", "-1"], "tau must be positive"),
+        (["qpe", "--L", "2", "--tau", "0"], "tau must be positive"),
+        (["qpe", "--L", "4", "--tau", "0"], "tau must be positive"),
+        (["gates", "--L", "3"],
+         "three-section S2 cover needs even lattice dimensions"),
+        (["gates", "--L", "5", "--model", "ppp"],
+         "three-section S2 cover needs even lattice dimensions"),
     ])
     def test_bad_qpe_and_gates_input_exit_2(self, capsys, argv, message):
         assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["lattice", "cover", "gates",
+                                         "bounds"])
+    @pytest.mark.parametrize("cells,message", [
+        ("5", "non-empty list of hexagon cells"),
+        ("null", "non-empty list of hexagon cells"),
+        ("[]", "non-empty list of hexagon cells"),
+        ('{"0": 0}', "non-empty list of hexagon cells"),
+        ('[["a","b"]]', "is not a pair of integers"),
+        ("[[0.5,0]]", "is not a pair of integers"),
+        ("[[true,0]]", "is not a pair of integers"),
+        ("[[0,0,0]]", "is not a pair of integers"),
+        ("[0,0]", "is not a pair of integers"),
+        ("[[0,0", "Expecting"),
+    ])
+    def test_bad_cells_exit_2(self, capsys, command, cells, message):
+        assert run_cli([command, "--lattice", "hex_fragment",
+                        f"--cells={cells}"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -355,6 +385,13 @@ class TestVerify:
         assert "ff_norm" in failing
 
 
+# JSON documents of the shape of a cell list, and near misses of it
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
 class TestFuzz:
     @given(st.sampled_from(["gates", "bounds"]),
            st.sampled_from(["--alpha", "--tau", "--U"]),
@@ -365,5 +402,15 @@ class TestFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_main_never_raises(self, capsys, command, flag, value):
         code = run_cli([command, "--L", "4", f"{flag}={value}"])
+        capsys.readouterr()
+        assert code in (0, 1, 2)
+
+    @given(st.sampled_from(["lattice", "cover", "gates", "bounds"]),
+           st.one_of(st.text(max_size=12), JSON_VALUES.map(json.dumps)))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_cells_never_raise(self, capsys, command, cells):
+        code = run_cli([command, "--lattice", "hex_fragment",
+                        f"--cells={cells}"])
         capsys.readouterr()
         assert code in (0, 1, 2)

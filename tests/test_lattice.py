@@ -84,6 +84,18 @@ class TestHexFragment:
         with pytest.raises(LatticeError):
             build_hex_fragment([])
 
+    @pytest.mark.parametrize("cells", [None, 5, "ab", [(0,)], [(0, 0, 0)],
+                                       [(0.5, 0)], [(True, 0)], [("a", "b")],
+                                       [(0, 0), 7]])
+    def test_malformed_cells_rejected(self, cells):
+        with pytest.raises(LatticeError):
+            build_hex_fragment(cells)
+
+    def test_numpy_integer_cells(self):
+        cells = [tuple(np.int64(v) for v in c) for c in CHEVRON_CELLS]
+        assert build_hex_fragment(cells).edges == build_hex_fragment(
+            CHEVRON_CELLS).edges
+
     def test_duplicate_cells_rejected(self):
         with pytest.raises(LatticeError, match="duplicate"):
             build_hex_fragment([(0, 0), (0, 0)])

@@ -273,6 +273,125 @@ class TestBlockCommutators:
         assert all(r["pass"] and r["exact"] > 0 for r in reports)
 
 
+class TestSectorSymmetries:
+    """Spin flip and particle-hole symmetry: each orbit of (N_up, N_down)
+    sectors is solved once, and a mirror sector only after its own blocks
+    pass the check.  The plain run, with no maps, solves every sector."""
+
+    @staticmethod
+    def plain(monkeypatch, check, *args):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_symmetry_maps", lambda lattice: [])
+            return check(*args)
+
+    @staticmethod
+    def count_calls(monkeypatch, name):
+        calls = []
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name", ["ring4", "ring6", "hexagon"])
+    @pytest.mark.parametrize("u,v", [(0.0, 0.0), (0.0, 3.0), (4.0, 0.0),
+                                     (2.0, 1.0), (1.0, 4.0)])
+    def test_commutators_reduced_equal_plain(self, request, monkeypatch,
+                                             name, u, v):
+        lattice = request.getfixturevalue(name)
+        params = ModelParams("extended_hubbard", tau=1.0, u=u, v=v)
+        reduced = verify_commutator_bounds(lattice, params)
+        plain = self.plain(monkeypatch, verify_commutator_bounds, lattice,
+                           params)
+        for got, want in zip(reduced, plain):
+            assert got["exact"] == pytest.approx(want["exact"], rel=1e-12,
+                                                 abs=0.0), got["check"]
+
+    @pytest.mark.parametrize("u", [0.0, 4.0])
+    def test_trotter_step_reduced_equals_plain(self, hexagon, hexagon_cover,
+                                               monkeypatch, u):
+        params = ModelParams("hubbard", tau=1.0, u=u)
+        bd = w_tile(hexagon, hexagon_cover, params)
+        args = (hexagon, hexagon_cover, params, (0.05, 0.1, 0.2), bd)
+        reduced = verify_trotter_step(*args)
+        plain = self.plain(monkeypatch, verify_trotter_step, *args)
+        # the error is a difference of unitaries with entries of order 1, so
+        # a mirror sector may move it by a few ulp of 1 as well
+        for got, want in zip(reduced, plain):
+            assert got["exact"] == pytest.approx(want["exact"], rel=1e-12,
+                                                 abs=1e-15)
+
+    def test_maps_are_signed_symmetries(self, ring4):
+        h = (jw_hopping(ring4, 1.0) + jw_onsite(ring4, 4.0)
+             + jw_neighbor(ring4, 2.0)).to_dense()
+        maps = oracle._symmetry_maps(ring4)
+        assert len(maps) == 3
+        for perm, sign in maps:
+            p = np.zeros_like(h)
+            p[perm, np.arange(perm.size)] = sign
+            assert np.abs(p @ h @ p.T - h).max() < 1e-14
+
+    def test_hexagon_solves_one_sector_per_orbit(self, hexagon,
+                                                 hexagon_cover,
+                                                 hubbard_params, monkeypatch):
+        # orbits of the 7 x 7 sectors under spin flip, particle-hole and
+        # their product: (49 + 7 + 1 + 7) / 4 = 16 by Burnside's lemma
+        assert len(oracle._symmetry_maps(hexagon)) == 3
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        calls = self.count_calls(monkeypatch, "eigh")
+        verify_trotter_step(hexagon, hexagon_cover, hubbard_params, (0.1,),
+                            bd)
+        assert len(calls) == (1 + hexagon_cover.n_sections) * 16
+
+    def test_no_particle_hole_without_two_colouring(self, monkeypatch):
+        ring5 = ring_lattice(5)
+        assert oracle._two_colouring(ring5) is None
+        assert len(oracle._symmetry_maps(ring5)) == 1
+        params = ModelParams("extended_hubbard", tau=1.0, u=3.0, v=1.0)
+        reduced = verify_commutator_bounds(ring5, params)
+        plain = self.plain(monkeypatch, verify_commutator_bounds, ring5,
+                           params)
+        for got, want in zip(reduced, plain):
+            assert got["exact"] == pytest.approx(want["exact"], rel=1e-12,
+                                                 abs=0.0)
+
+    def test_broken_section_symmetry_falls_back(self, hexagon, hexagon_cover,
+                                                hubbard_params, monkeypatch):
+        real = oracle.jw_section
+
+        def with_lone_z(lattice, cover, s, tau):
+            # Z on qubit 0 conserves both electron numbers, but spin flip
+            # moves it to qubit 1 and particle-hole flips its sign
+            return real(lattice, cover, s, tau) + PauliSum(
+                2 * lattice.n_sites, {(0, 1): 0.3})
+
+        monkeypatch.setattr(oracle, "jw_section", with_lone_z)
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        args = (hexagon, hexagon_cover, hubbard_params, (0.05, 0.1), bd)
+        plain = self.plain(monkeypatch, verify_trotter_step, *args)
+        calls = self.count_calls(monkeypatch, "eigh")
+        assert verify_trotter_step(*args) == plain
+        assert len(calls) == (1 + hexagon_cover.n_sections) * 49
+
+    def test_broken_diagonal_symmetry_falls_back(self, hexagon, monkeypatch):
+        real = oracle.jw_neighbor
+
+        def with_lone_z(lattice, v):
+            return real(lattice, v) + PauliSum(2 * lattice.n_sites,
+                                               {(0, 1): 0.3})
+
+        monkeypatch.setattr(oracle, "jw_neighbor", with_lone_z)
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
+        plain = self.plain(monkeypatch, verify_commutator_bounds, hexagon,
+                           params)
+        calls = self.count_calls(monkeypatch, "eigvalsh")
+        assert verify_commutator_bounds(hexagon, params) == plain
+        assert len(calls) == 3 * 49
+
+
 class TestTrotterStep:
     def test_hexagon_inequality(self, hexagon, hexagon_cover, hubbard_params):
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
