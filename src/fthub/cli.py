@@ -32,7 +32,7 @@ from .qpe import crossover_sweep, hubbard_step, rows_to_csv
 from .qubitization import check_rotation_costs
 from .tiling import (check_cover_dims, cover_from_json, cover_hex_fragment,
                      cover_periodic_hex, cover_to_json, validate_cover)
-from .trotterbounds import MODELS, ModelParams, w_tile
+from .trotterbounds import MODELS, ModelParams, w_so2_of, w_tile
 
 
 def round_half_away(x: float) -> int:
@@ -153,6 +153,7 @@ def cmd_qpe(args) -> int:
     # checked here too, so that a sweep with no lattice size checks them;
     # tau first, since the fixed eps below is eps * tau
     ModelParams(args.model, tau=args.tau)
+    w_so2_of(args.model)
     alpha_rules = tuple(args.alpha.split(","))
     for rule in alpha_rules:
         qpe.alpha_to_m(0, rule)

@@ -11,16 +11,19 @@ bound and gate identity on small instances.
 
 The nested commutators behind the Coulomb/hopping bounds are taken on the
 sector blocks of the hopping operator, with the one-product commutator of
-``freefermion`` and the Coulomb diagonals, and share the eigensolve loop of
-``exact_spectral_norm``; no Pauli product is formed for them.
+``freefermion`` and the Coulomb diagonals; no Pauli product is formed for
+them.
 
-The two lattice-aware checks (commutator bounds and the Trotter step) solve
-one sector per symmetry orbit.  Spin flip swaps qubits 2i and 2i + 1 and
-maps sector (a, b) to (b, a); on a lattice whose edges admit a 2-colouring,
-particle-hole flips every qubit and maps (a, b) to (N - a, N - b).  Each
-acts on basis states as a signed permutation, |m> -> eps(m) |pi(m)>.  A
-mirror sector is skipped only after its own blocks pass a check: every
-compiled operator of the check must satisfy
+Every exact check walks the sectors through ``_sector_sets``, which
+enforces the block cap before any block is built and drops the mirror
+sectors of each symmetry orbit.  ``exact_spectral_norm`` has no lattice and
+solves every sector; the commutator-bound and Trotter-step checks get their
+compiled operators and sectors from ``_spin_sectors``.  Spin flip swaps
+qubits 2i and 2i + 1 and maps sector (a, b) to (b, a); on a lattice whose
+edges admit a 2-colouring, particle-hole flips every qubit and maps (a, b)
+to (N - a, N - b).  Each acts on basis states as a signed permutation,
+|m> -> eps(m) |pi(m)>.  A mirror sector is skipped only after a check: every
+compiled operator's block, built once on the kept sector, must satisfy
 block(pi(m)) = outer(eps, eps) * block(m) to ``LEAK_RTOL`` of its largest
 entry, and every Z diagonal d must satisfy d[pi(m)] == d[m].  A sector that
 fails is solved on its own, as it would be without the symmetries.
@@ -231,27 +234,19 @@ def _leak(groups: dict, labels: np.ndarray) -> float:
     return leak / scale if scale else 0.0
 
 
-def _label_sets(labels: np.ndarray) -> list:
-    """Basis states grouped by label, ascending; raises SizeLimitError before
-    any block is built when a group exceeds MAX_BLOCK."""
+def _sector_sets(labels: np.ndarray, maps=(), ops=(), diags=()) -> list:
+    """Basis states grouped by label, ascending, less each set that one of
+    the signed ``maps`` (``_symmetry_maps``) carries an earlier kept set
+    onto; SizeLimitError before any block is built when a group exceeds
+    MAX_BLOCK.  An image is covered only if it is that whole set, every
+    operator of ``ops`` has there its block on the kept set (built once) up
+    to the signs, and every Z diagonal of ``diags`` is equal there."""
     order = np.argsort(labels, kind="stable")
     sets = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     largest = max(len(m) for m in sets)
     if largest > MAX_BLOCK:
         raise SizeLimitError(f"a {largest}-state block exceeds the cap of "
                              f"{MAX_BLOCK}")
-    return sets
-
-
-def _orbit_sets(labels: np.ndarray, maps: list, ops: list,
-                diags: list) -> list:
-    """The label sets of ``_label_sets``, in its order, less every set that
-    one of the signed ``maps`` (``_symmetry_maps``) carries an earlier kept
-    set onto.  The image counts as covered only if it is that whole set,
-    the dense blocks of every compiled operator in ``ops`` match on it up to
-    the signs, and every Z diagonal in ``diags`` is equal there; otherwise
-    it is kept and solved on its own."""
-    sets = _label_sets(labels)
     where = {int(labels[m[0]]): k for k, m in enumerate(sets)}
     covered = set()
     kept = []
@@ -259,29 +254,33 @@ def _orbit_sets(labels: np.ndarray, maps: list, ops: list,
         if k in covered:
             continue
         kept.append(members)
+        images = []
         for perm, sign in maps:
             image = perm[members]
             j = where[int(labels[image[0]])]
             if (j > k and j not in covered
-                    and np.array_equal(np.sort(image), sets[j])
-                    and _mirrors(members, image, sign[members], ops, diags,
-                                 labels.size)):
-                covered.add(j)
+                    and np.array_equal(np.sort(image), sets[j])):
+                images.append((j, image, sign[members]))
+        for groups in ops:
+            if not images:
+                break
+            block = _block(groups, members, labels.size)
+            limit = LEAK_RTOL * np.abs(block).max()
+            still = []
+            for j, image, sign in images:
+                # in place: more n x n temporaries here raised peak RSS
+                gap = _block(groups, image, labels.size)
+                gap = gap.astype(np.result_type(gap, block), copy=False)
+                gap *= sign[:, None]
+                gap *= sign[None, :]
+                gap -= block
+                if np.abs(gap, out=gap).real.max() <= limit:
+                    still.append((j, image, sign))
+            images = still
+        covered.update(j for j, image, _ in images
+                       if all(np.array_equal(d[image], d[members])
+                              for d in diags))
     return kept
-
-
-def _mirrors(members: np.ndarray, image: np.ndarray, sign: np.ndarray,
-             ops: list, diags: list, dim: int) -> bool:
-    """Whether every operator of ``ops`` has on ``image`` the block it has on
-    ``members``, conjugated by diag(``sign``), and every diagonal of
-    ``diags`` the same entries."""
-    outer = sign[:, None] * sign[None, :]
-    for groups in ops:
-        block = _block(groups, members, dim)
-        gap = np.abs(_block(groups, image, dim) - outer * block).max()
-        if gap > LEAK_RTOL * np.abs(block).max():
-            return False
-    return all(np.array_equal(d[image], d[members]) for d in diags)
 
 
 def _block(groups: dict, members: np.ndarray, dim: int) -> np.ndarray:
@@ -303,14 +302,22 @@ def _block(groups: dict, members: np.ndarray, dim: int) -> np.ndarray:
     return block
 
 
-def _conserving_groups(op: PauliSum, labels: np.ndarray, name: str) -> dict:
-    """Compiled form of ``op``; ValueError when it leaks out of the sectors."""
-    groups = op.compile()
-    leak = _leak(groups, labels)
-    if leak > LEAK_RTOL:
-        raise ValueError(f"{name} is not block diagonal over spin sectors "
-                         f"(leak {leak:.2e})")
-    return groups
+def _spin_sectors(lattice: LatticeGraph, named_ops: list,
+                  diags: list) -> tuple:
+    """Compiled (name, op) ``named_ops`` and their ``_sector_sets`` under the
+    lattice's symmetry maps and the Z ``diags``; ValueError when an operator
+    leaks out of the spin sectors."""
+    labels = _spin_labels(2 * lattice.n_sites)
+    groups = []
+    for name, op in named_ops:
+        compiled = op.compile()
+        leak = _leak(compiled, labels)
+        if leak > LEAK_RTOL:
+            raise ValueError(f"{name} is not block diagonal over spin sectors "
+                             f"(leak {leak:.2e})")
+        groups.append(compiled)
+    return groups, _sector_sets(labels, _symmetry_maps(lattice), groups,
+                                diags)
 
 
 def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
@@ -319,16 +326,6 @@ def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
     if any(groups):
         raise ValueError("operator is not diagonal")
     return groups.get(0, np.zeros(1 << op.n_qubits)).real
-
-
-def _sector_norms(sets: list, blocks_of) -> list:
-    """Largest |eigenvalue| of each of several Hermitian operators over the
-    invariant basis-state sets ``sets``.  ``blocks_of(members)`` returns the
-    operators' dense blocks on the basis states ``members``, built together
-    so that they can share work."""
-    peaks = [[float(np.abs(np.linalg.eigvalsh(b)).max()) for b in blocks_of(m)]
-             for m in sets]
-    return np.max(peaks, axis=0).tolist()
 
 
 def exact_spectral_norm(op: PauliSum) -> float:
@@ -346,8 +343,8 @@ def exact_spectral_norm(op: PauliSum) -> float:
     labels = _spin_labels(op.n_qubits)
     if _leak(groups, labels) > LEAK_RTOL:
         labels = np.zeros_like(labels)
-    return _sector_norms(_label_sets(labels),
-                         lambda m: [_block(groups, m, labels.size)])[0]
+    return max(float(np.abs(np.linalg.eigvalsh(
+        _block(groups, m, labels.size))).max()) for m in _sector_sets(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -452,31 +449,32 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
     -(c_i - c_j)^2 h_ij, and [[D, H], H] for D = I, V as [X, h] with the
     anti-Hermitian X_ij = (d_i - d_j) h_ij, in one block product.  No Pauli
     product is formed.  One sector per symmetry orbit is solved
-    (``_orbit_sets``).
+    (``_spin_sectors``).
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
     u, v, tau = params.u, params.v, params.tau
     bounds = w_so2_extended(lattice, params).components
-    labels = _spin_labels(n_qubits)
-    hop = _conserving_groups(jw_hopping(lattice, tau), labels,
-                             "hopping Hamiltonian")
     d_i = _diag_of_z_sum(jw_onsite(lattice, u))
     d_v = _diag_of_z_sum(jw_neighbor(lattice, v))
+    (hop,), sets = _spin_sectors(
+        lattice, [("hopping Hamiltonian", jw_hopping(lattice, tau))],
+        [d_i, d_v])
 
     def nested(members):
-        h = _block(hop, members, labels.size)
+        h = _block(hop, members, 1 << n_qubits)
         gap_i = d_i[members, None] - d_i[None, members]
         gap_v = d_v[members, None] - d_v[None, members]
         return [-(gap_i + gap_v) ** 2 * h,
                 _commutator_ah(gap_i * h, h),
                 _commutator_ah(gap_v * h, h)]
 
+    peaks = [[float(np.abs(np.linalg.eigvalsh(b)).max()) for b in nested(m)]
+             for m in sets]
     name = f"{lattice.kind}/N={lattice.n_sites} U={u} V={v}"
-    sets = _orbit_sets(labels, _symmetry_maps(lattice), [hop], [d_i, d_v])
     checks = []
     for label, exact in zip(("comm_CHC", "comm_IHH", "comm_VHH"),
-                            _sector_norms(sets, nested)):
+                            np.max(peaks, axis=0).tolist()):
         bound = bounds[label + "_bound"]
         checks.append({"check": label, "instance": name, "exact": exact,
                        "bound": bound,
@@ -497,25 +495,23 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     Every factor conserves both spin-sector electron numbers (checked on the
     compiled operators), so the unitary difference is evaluated exactly as
     the largest per-block singular value over those invariant subspaces,
-    one sector per symmetry orbit (``_orbit_sets``).
+    one sector per symmetry orbit (``_spin_sectors``).
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
-    labels = _spin_labels(n_qubits)
     coulomb = jw_onsite(lattice, params.u)
     if params.model == "extended_hubbard":
         coulomb = coulomb + jw_neighbor(lattice, params.v)
     pieces = [("full Hamiltonian", jw_hopping(lattice, params.tau) + coulomb)]
     pieces += [(f"section {s}", jw_section(lattice, cover, s, params.tau))
                for s in range(cover.n_sections)]
-    groups = [_conserving_groups(op, labels, name) for name, op in pieces]
     c_diag = _diag_of_z_sum(coulomb)
+    groups, sets = _spin_sectors(lattice, pieces, [c_diag])
 
     errs = [0.0] * len(t_list)
-    for members in _orbit_sets(labels, _symmetry_maps(lattice), groups,
-                               [c_diag]):
-        (vals, vecs), *sec = [np.linalg.eigh(_block(g, members, labels.size))
-                           for g in groups]
+    for members in sets:
+        (vals, vecs), *sec = [np.linalg.eigh(_block(g, members, 1 << n_qubits))
+                              for g in groups]
         cd = c_diag[members]
         for k, t in enumerate(t_list):
             if t == 0:
@@ -528,8 +524,11 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
                 u_step = u @ u_step
             for u in reversed(halves):
                 u_step = u @ u_step
-            u_step = np.exp(-1j * cd * t / 2.0)[:, None] * u_step
-            sv_max = np.linalg.svd(u_exact - u_step, compute_uv=False)[0]
+            # in place, so no third unitary is live at the SVD
+            np.multiply(np.exp(-1j * cd * t / 2.0)[:, None], u_step,
+                        out=u_step)
+            u_exact -= u_step
+            sv_max = np.linalg.svd(u_exact, compute_uv=False)[0]
             errs[k] = max(errs[k], float(sv_max))
 
     w = breakdown.w_tile

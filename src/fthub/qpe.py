@@ -187,28 +187,25 @@ def hubbard_step(n: int, model: str, alpha_rule: str) -> StepCost:
 def crossover_sweep(w_by_n: dict, eps_rule, l_values,
                     model: str = "hubbard",
                     alpha_rules=tuple(ALPHA_RULES),
-                    methods=("trotter", "qubitized"),
                     tau: float = 1.0, u: float = 4.0,
                     theta: int = 10, gamma: int = 40) -> list:
     """Tabulate QPE estimates over lattice sizes.
 
     ``w_by_n`` maps N to the step error norm; ``eps_rule`` maps N to the
-    target accuracy (e.g. ``lambda n: 0.005 * n`` or a constant).  Returns a
-    list of row dicts in the fixed CSV column order.
+    target accuracy (e.g. ``lambda n: 0.005 * n``).  Returns a list of row
+    dicts in the fixed CSV column order: per N one Trotter row for each
+    alpha rule, then the qubitized row.
     """
-    eps_of = eps_rule if callable(eps_rule) else (lambda n: float(eps_rule))
     rows = []
     for l in l_values:
         n = 2 * l * l
-        eps = eps_of(n)
-        if "trotter" in methods:
-            for rule in alpha_rules:
-                step = hubbard_step(n, model, rule)
-                est = trotter_qpe(step, w_by_n[n], eps)
-                rows.append(_row(est, n, l, rule))
-        if "qubitized" in methods:
-            est = qubitized_qpe(walk_costs(l, tau, u, theta, gamma), eps)
-            rows.append(_row(est, n, l, "-"))
+        eps = eps_rule(n)
+        for rule in alpha_rules:
+            step = hubbard_step(n, model, rule)
+            est = trotter_qpe(step, w_by_n[n], eps)
+            rows.append(_row(est, n, l, rule))
+        est = qubitized_qpe(walk_costs(l, tau, u, theta, gamma), eps)
+        rows.append(_row(est, n, l, "-"))
     return rows
 
 

@@ -194,8 +194,9 @@ def cover_hex_fragment(lattice: LatticeGraph) -> SectionCover:
 
     Sites are swept in index order; two uncovered edges meeting at a
     degree-3 site become an S2 tile, remaining edges become S1 tiles.
-    Tiles are then first-fit colored into three sections (a fourth is opened
-    only if first-fit fails).
+    Tiles are then first-fit colored: each goes into the first section it
+    shares no site with, and a new section is opened when none fits.  The
+    sections are named blue, red, gold, extra, then extra2, extra3, ...
     """
     if lattice.kind not in ("hex_fragment", "square_fragment", "custom"):
         raise CoverError("greedy cover expects a fragment lattice")
@@ -216,22 +217,20 @@ def cover_hex_fragment(lattice: LatticeGraph) -> SectionCover:
     for e in sorted(uncovered):
         tiles.append(Tile("S1", e))
 
-    colors = ["blue", "red", "gold", "extra"]
-    buckets: list = [[] for _ in colors]
-    occupied: list = [set() for _ in colors]
+    buckets: list = []
+    occupied: list = []
     for tile in sorted(tiles, key=lambda t: t.sites):
-        placed = False
-        for k in range(len(colors)):
-            if not occupied[k] & set(tile.sites):
-                buckets[k].append(tile)
-                occupied[k].update(tile.sites)
-                placed = True
-                break
-        if not placed:
-            raise CoverError("greedy first-fit ran out of sections; "
-                             "supply a manual cover")
+        k = next((k for k, sites in enumerate(occupied)
+                  if not sites & set(tile.sites)), len(occupied))
+        if k == len(occupied):
+            buckets.append([])
+            occupied.append(set())
+        buckets[k].append(tile)
+        occupied[k].update(tile.sites)
 
-    sections = tuple(Section(c, tuple(b)) for c, b in zip(colors, buckets) if b)
+    colors = (["blue", "red", "gold", "extra"]
+              + [f"extra{k}" for k in range(2, len(buckets) - 2)])
+    sections = tuple(Section(c, tuple(b)) for c, b in zip(colors, buckets))
     cover = SectionCover(lattice, sections)
     report = validate_cover(lattice, cover)
     if not report.valid:

@@ -333,19 +333,24 @@ def _section_sums(geometry: _Geometry) -> tuple:
 # combined
 
 
+def w_so2_of(model: str):
+    """The Coulomb/hopping error-norm function of ``model``;
+    BoundUnsupportedError for a model that has none."""
+    if model == "hubbard":
+        return w_so2_hubbard
+    if model == "extended_hubbard":
+        return w_so2_extended
+    raise BoundUnsupportedError(
+        f"no error-norm bound is implemented for the {model} model")
+
+
 def w_tile(lattice: LatticeGraph, cover: SectionCover, params: ModelParams
            ) -> TrotterErrorBreakdown:
     """Total tile-step error norm: Coulomb/hopping split plus section split.
 
     Raises ``ValueError`` when the norm overflows a float, so no caller sees
     an infinite or NaN result."""
-    if params.model == "hubbard":
-        w_so2 = w_so2_hubbard
-    elif params.model == "extended_hubbard":
-        w_so2 = w_so2_extended
-    else:
-        raise BoundUnsupportedError(
-            "no error-norm bound is implemented for the ppp model")
+    w_so2 = w_so2_of(params.model)
     try:
         # an overflow is reported below, not as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):

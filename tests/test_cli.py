@@ -117,6 +117,14 @@ class TestSmallCommands:
                         "--alpha", alpha]) == 0
         assert capsys.readouterr().out == hubbard_step(72, model, alpha).to_json() + "\n"
 
+    @pytest.mark.parametrize("command", ["cover", "gates"])
+    @pytest.mark.parametrize("l", range(4, 11))
+    def test_square_fragment_covers_at_every_size(self, capsys, command, l):
+        assert run_cli([command, "--lattice", "square_fragment",
+                        "--L", str(l)]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out) and err == ""
+
     def test_ppp_gates_take_the_quarter_rule(self, capsys):
         assert run_cli(["gates", "--model", "ppp", "--L", "4",
                         "--alpha", "N/4-1"]) == 0
@@ -252,6 +260,10 @@ class TestSmallCommands:
          "three-section S2 cover needs even lattice dimensions"),
         (["gates", "--L", "5", "--model", "ppp"],
          "three-section S2 cover needs even lattice dimensions"),
+        (["qpe", "--L", "2", "--model", "ppp"],
+         "no error-norm bound is implemented for the ppp model"),
+        (["qpe", "--L", "4", "--model", "ppp"],
+         "no error-norm bound is implemented for the ppp model"),
     ])
     def test_bad_qpe_and_gates_input_exit_2(self, capsys, argv, message):
         assert run_cli(argv) == 2

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -390,6 +392,61 @@ class TestSectorSymmetries:
         calls = self.count_calls(monkeypatch, "eigvalsh")
         assert verify_commutator_bounds(hexagon, params) == plain
         assert len(calls) == 3 * 49
+
+
+    def test_walk_builds_each_block_once(self, hexagon, hexagon_cover,
+                                         hubbard_params, monkeypatch):
+        # the solve builds each operator's block on a kept sector once; the
+        # walk adds at most one more build of it, however many maps carry
+        # that sector onto a mirror
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
+        real = oracle._block
+        for check, args in ((verify_trotter_step,
+                             (hexagon, hexagon_cover, hubbard_params, (0.1,),
+                              bd)),
+                            (verify_commutator_bounds, (hexagon, params))):
+            builds = Counter()
+
+            def counted(groups, members, dim):
+                builds[id(groups), members.tobytes()] += 1
+                return real(groups, members, dim)
+
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_block", counted)
+                check(*args)
+            assert max(builds.values()) == 2, check.__name__
+
+
+class TestTransientMemory:
+    """The tracemalloc peak of one warm hexagon check: a sector's blocks are
+    built where they are consumed and freed before the next solve."""
+
+    # half of the largest real block, a 400-state sector: 400^2 * 8 B / 2
+    SLACK = 400 ** 2 * 8 // 2
+
+    @staticmethod
+    def peak(check, *args):
+        check(*args)
+        tracemalloc.start()
+        try:
+            check(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_commutator_bounds(self, hexagon):
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=2.0)
+        # 10.33 MiB when each sector's blocks lived only through its solve
+        assert self.peak(verify_commutator_bounds, hexagon,
+                         params) <= 10_836_957 + self.SLACK
+
+    def test_trotter_step(self, hexagon, hexagon_cover, hubbard_params):
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        # 24.09 MiB when each sector's blocks lived only through its solve
+        assert self.peak(verify_trotter_step, hexagon, hexagon_cover,
+                         hubbard_params, (0.05, 0.1, 0.2),
+                         bd) <= 25_264_100 + self.SLACK
 
 
 class TestTrotterStep:

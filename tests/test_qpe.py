@@ -179,7 +179,8 @@ class TestScaling:
 class TestSweep:
     def test_rows_and_csv(self, hex44):
         w_by_n = {32: 215.0}
-        rows = crossover_sweep(w_by_n, 0.05, [4], alpha_rules=("0", "N/2-1"))
+        rows = crossover_sweep(w_by_n, lambda n: 0.05, [4],
+                               alpha_rules=("0", "N/2-1"))
         methods = [r["method"] for r in rows]
         assert methods.count("trotter") == 2 and methods.count("qubitized") == 1
         text = rows_to_csv(rows)
@@ -189,8 +190,9 @@ class TestSweep:
 
     def test_eps_rule_callable(self):
         rows = crossover_sweep({32: 215.0}, lambda n: 0.005 * n, [4],
-                               alpha_rules=("N/2-1",), methods=("trotter",))
-        assert rows[0]["eps"] == pytest.approx(0.16)
+                               alpha_rules=("N/2-1",))
+        trotter = [r for r in rows if r["method"] == "trotter"]
+        assert trotter[0]["eps"] == pytest.approx(0.16)
 
     def test_crossover_regime(self):
         # at eps = 0.26 and N >= 128 the Trotter-HWP budget beats qubitization

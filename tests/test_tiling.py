@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fthub.lattice import build_periodic_hex
+from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
+                           build_square_fragment)
 from fthub.tiling import (CoverError, Section, SectionCover, Tile, chain_rotation,
                           cover_from_json, cover_hex_fragment, cover_periodic_hex,
                           cover_tile_census, cover_to_json, tile_catalog,
@@ -122,6 +123,26 @@ class TestFragmentCover:
         report = validate_cover(lat, cover)
         assert report.valid, report.violations
         assert cover.n_sections <= 4
+
+    @pytest.mark.parametrize("l", range(4, 11))
+    def test_square_fragment_opens_a_fifth_section(self, l):
+        # first-fit needs a fifth section on the square fragment from L = 5
+        lat = build_square_fragment(l, l)
+        cover = cover_hex_fragment(lat)
+        report = validate_cover(lat, cover)
+        assert report.valid, report.violations
+        expected = ["blue", "red", "gold", "extra", "extra2"]
+        assert [s.color for s in cover.sections] == expected[:4 if l == 4 else 5]
+
+    def test_sections_past_the_fifth_are_numbered(self):
+        # every edge of a six-leaf star meets the centre: one section each
+        info = tuple(SiteInfo(i, i, 0, int(i > 0), "edge") for i in range(7))
+        star = LatticeGraph(7, tuple((0, i) for i in range(1, 7)), info,
+                            "custom")
+        cover = cover_hex_fragment(star)
+        assert validate_cover(star, cover).valid
+        assert [s.color for s in cover.sections] == [
+            "blue", "red", "gold", "extra", "extra2", "extra3"]
 
     def test_s2_tiles_cover_two_edges(self, parallelogram):
         cover = cover_hex_fragment(parallelogram)
