@@ -22,11 +22,10 @@ compiled operators and sectors from ``_spin_sectors``.  Spin flip swaps
 qubits 2i and 2i + 1 and maps sector (a, b) to (b, a); on a lattice whose
 edges admit a 2-colouring, particle-hole flips every qubit and maps (a, b)
 to (N - a, N - b).  Each acts on basis states as a signed permutation,
-|m> -> eps(m) |pi(m)>.  A mirror sector is skipped only after a check: every
-compiled operator's block, built once on the kept sector, must satisfy
-block(pi(m)) = outer(eps, eps) * block(m) to ``LEAK_RTOL`` of its largest
-entry, and every Z diagonal d must satisfy d[pi(m)] == d[m].  A sector that
-fails is solved on its own, as it would be without the symmetries.
+|m> -> eps(m) |pi(m)>.  A map is used only after one check per operator on
+its compiled X-mask groups (``_commutes``, to ``LEAK_RTOL``) and exact
+equality d[pi(m)] == d[m] of every Coulomb diagonal; a map that fails is
+not used on any sector.  No block is built to check a map.
 """
 
 from __future__ import annotations
@@ -35,11 +34,13 @@ import math
 
 import numpy as np
 
-from .freefermion import _commutator_ah, schatten1
+# perfbench's tracer test still looks up oracle.schatten1
+from .freefermion import _commutator_ah, schatten1  # noqa: F401
 from .lattice import LatticeGraph, regular_degree
 from .pauli import _PARITY16, PauliSum
 from .tiling import SectionCover, chain_rotation, tile_catalog
-from .trotterbounds import ModelParams, TrotterErrorBreakdown, w_so2_extended
+from .trotterbounds import (ModelParams, TrotterErrorBreakdown,
+                            _adjacency_schatten1, w_so2_extended)
 
 MAX_QUBITS = 16
 # largest block the exact layer diagonalizes: the half-filled sector of a
@@ -234,13 +235,29 @@ def _leak(groups: dict, labels: np.ndarray) -> float:
     return leak / scale if scale else 0.0
 
 
-def _sector_sets(labels: np.ndarray, maps=(), ops=(), diags=()) -> list:
+def _commutes(groups: dict, perm: np.ndarray, sign: np.ndarray) -> bool:
+    """True when |m> -> sign[m] |perm[m]> commutes with the compiled
+    sum_x X^x diag(d_x): perm carries each X mask x to one mask y,
+    perm[m ^ x] = perm[m] ^ y on all states, and d_y[perm[m]] =
+    sign[m ^ x] sign[m] d_x[m] to ``LEAK_RTOL`` of the largest entry."""
+    idx = np.arange(perm.size)
+    scale = max((float(np.abs(d).max()) for d in groups.values()), default=0.0)
+    zero = np.zeros(perm.size)
+    for x, d in groups.items():
+        y = int(perm[x] ^ perm[0])
+        gap = groups.get(y, zero)[perm] - sign[idx ^ x] * sign * d
+        if (not np.array_equal(perm[idx ^ x], perm ^ y)
+                or np.abs(gap).max() > LEAK_RTOL * scale):
+            return False
+    return True
+
+
+def _sector_sets(labels: np.ndarray, maps=()) -> list:
     """Basis states grouped by label, ascending, less each set that one of
     the signed ``maps`` (``_symmetry_maps``) carries an earlier kept set
-    onto; SizeLimitError before any block is built when a group exceeds
-    MAX_BLOCK.  An image is covered only if it is that whole set, every
-    operator of ``ops`` has there its block on the kept set (built once) up
-    to the signs, and every Z diagonal of ``diags`` is equal there."""
+    onto; SizeLimitError when a group exceeds MAX_BLOCK, and ValueError when
+    a map carries a kept set onto anything but one whole set.  The maps must
+    commute with every operator solved on the sets (``_commutes``)."""
     order = np.argsort(labels, kind="stable")
     sets = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     largest = max(len(m) for m in sets)
@@ -254,32 +271,13 @@ def _sector_sets(labels: np.ndarray, maps=(), ops=(), diags=()) -> list:
         if k in covered:
             continue
         kept.append(members)
-        images = []
-        for perm, sign in maps:
+        for perm, _ in maps:
             image = perm[members]
             j = where[int(labels[image[0]])]
-            if (j > k and j not in covered
-                    and np.array_equal(np.sort(image), sets[j])):
-                images.append((j, image, sign[members]))
-        for groups in ops:
-            if not images:
-                break
-            block = _block(groups, members, labels.size)
-            limit = LEAK_RTOL * np.abs(block).max()
-            still = []
-            for j, image, sign in images:
-                # in place: more n x n temporaries here raised peak RSS
-                gap = _block(groups, image, labels.size)
-                gap = gap.astype(np.result_type(gap, block), copy=False)
-                gap *= sign[:, None]
-                gap *= sign[None, :]
-                gap -= block
-                if np.abs(gap, out=gap).real.max() <= limit:
-                    still.append((j, image, sign))
-            images = still
-        covered.update(j for j, image, _ in images
-                       if all(np.array_equal(d[image], d[members])
-                              for d in diags))
+            if not np.array_equal(np.sort(image), sets[j]):
+                raise ValueError(f"a map carries sector {k} onto part of "
+                                 f"sector {j}")
+            covered.add(j)
     return kept
 
 
@@ -305,8 +303,9 @@ def _block(groups: dict, members: np.ndarray, dim: int) -> np.ndarray:
 def _spin_sectors(lattice: LatticeGraph, named_ops: list,
                   diags: list) -> tuple:
     """Compiled (name, op) ``named_ops`` and their ``_sector_sets`` under the
-    lattice's symmetry maps and the Z ``diags``; ValueError when an operator
-    leaks out of the spin sectors."""
+    lattice's symmetry maps that commute with every operator and leave every
+    Z diagonal of ``diags`` unchanged; ValueError when an operator leaks out
+    of the spin sectors."""
     labels = _spin_labels(2 * lattice.n_sites)
     groups = []
     for name, op in named_ops:
@@ -316,8 +315,10 @@ def _spin_sectors(lattice: LatticeGraph, named_ops: list,
             raise ValueError(f"{name} is not block diagonal over spin sectors "
                              f"(leak {leak:.2e})")
         groups.append(compiled)
-    return groups, _sector_sets(labels, _symmetry_maps(lattice), groups,
-                                diags)
+    maps = [(perm, sign) for perm, sign in _symmetry_maps(lattice)
+            if all(_commutes(g, perm, sign) for g in groups)
+            and all(np.array_equal(d[perm], d) for d in diags)]
+    return groups, _sector_sets(labels, maps)
 
 
 def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
@@ -343,8 +344,13 @@ def exact_spectral_norm(op: PauliSum) -> float:
     labels = _spin_labels(op.n_qubits)
     if _leak(groups, labels) > LEAK_RTOL:
         labels = np.zeros_like(labels)
-    return max(float(np.abs(np.linalg.eigvalsh(
-        _block(groups, m, labels.size))).max()) for m in _sector_sets(labels))
+    return max(_peak(_block(groups, m, labels.size))
+               for m in _sector_sets(labels))
+
+
+def _peak(block: np.ndarray) -> float:
+    """Largest |eigenvalue| of a Hermitian block."""
+    return float(np.abs(np.linalg.eigvalsh(block)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +466,15 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
     (hop,), sets = _spin_sectors(
         lattice, [("hopping Hamiltonian", jw_hopping(lattice, tau))],
         [d_i, d_v])
-
-    def nested(members):
+    peaks = []
+    for members in sets:
         h = _block(hop, members, 1 << n_qubits)
         gap_i = d_i[members, None] - d_i[None, members]
         gap_v = d_v[members, None] - d_v[None, members]
-        return [-(gap_i + gap_v) ** 2 * h,
-                _commutator_ah(gap_i * h, h),
-                _commutator_ah(gap_v * h, h)]
-
-    peaks = [[float(np.abs(np.linalg.eigvalsh(b)).max()) for b in nested(m)]
-             for m in sets]
+        # each nested commutator is solved before the next one is built
+        peaks.append([_peak(-(gap_i + gap_v) ** 2 * h),
+                      _peak(_commutator_ah(gap_i * h, h)),
+                      _peak(_commutator_ah(gap_v * h, h))])
     name = f"{lattice.kind}/N={lattice.n_sites} U={u} V={v}"
     checks = []
     for label, exact in zip(("comm_CHC", "comm_IHH", "comm_VHH"),
@@ -498,7 +502,6 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     one sector per symmetry orbit (``_spin_sectors``).
     """
     n_qubits = 2 * lattice.n_sites
-    _require_qubits(n_qubits)
     coulomb = jw_onsite(lattice, params.u)
     if params.model == "extended_hubbard":
         coulomb = coulomb + jw_neighbor(lattice, params.v)
@@ -518,12 +521,9 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
                 continue
             u_exact = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
             u_step = np.diag(np.exp(-1j * cd * t / 2.0)).astype(complex)
-            halves = [(sv * np.exp(-1j * sl * t / 2.0)) @ sv.conj().T
-                      for sl, sv in sec]
-            for u in halves:
-                u_step = u @ u_step
-            for u in reversed(halves):
-                u_step = u @ u_step
+            # each half step is formed where it is applied: one is live
+            for sl, sv in sec + sec[::-1]:
+                u_step = (sv * np.exp(-1j * sl * t / 2.0)) @ sv.conj().T @ u_step
             # in place, so no third unitary is live at the SVD
             np.multiply(np.exp(-1j * cd * t / 2.0)[:, None], u_step,
                         out=u_step)
@@ -632,9 +632,8 @@ def verify_commutator_rules(tau: float = 1.0) -> list:
 
 def verify_ff_norm(lattice: LatticeGraph, tau: float = 1.0) -> dict:
     """Exact many-body norm of the hopping Hamiltonian against tau * |R|_1."""
-    _require_qubits(2 * lattice.n_sites)
     exact = exact_spectral_norm(jw_hopping(lattice, tau))
-    predicted = tau * schatten1(lattice.adjacency)
+    predicted = tau * _adjacency_schatten1(lattice)
     return {"check": "ff_norm", "instance": f"{lattice.kind}/N={lattice.n_sites}",
             "exact": exact, "bound": predicted,
             "pass": abs(exact - predicted) <= 1e-8 * max(predicted, 1.0)}

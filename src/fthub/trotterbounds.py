@@ -14,7 +14,7 @@ comes from 2 x 2 blocks.  Nested commutators and their Schatten norms are
 taken block by block, at O(K d^3) cost for K blocks of size d instead of
 O(N^3).  Each commutator costs one block product: [A, B] = AB - (AB)^H for
 Hermitian A, B, and [X, C] = XC + (XC)^H for the anti-Hermitian X = [A, B]
-(``_nested_schatten`` composes the two).  ``w_h`` takes [R_b, R_c] once per
+(both in ``freefermion``).  ``w_h`` takes [R_b, R_c] once per
 section pair and reuses it for every outer commutator, so a three-section
 cover needs 3 + 8 = 11 block products and 8 eigensolves.  On the dense 0/1
 blocks every product is an exact small integer, so these are the matrices
@@ -287,11 +287,6 @@ def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBr
 
 # ---------------------------------------------------------------------------
 # hopping section split
-
-
-def _nested_schatten(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """|[[A, B], C]|_1 from stacks of matching Hermitian blocks of A, B, C."""
-    return schatten1(_commutator_ah(_commutator_hh(a, b), c))
 
 
 def w_h(cover: SectionCover, tau: float) -> float:

@@ -8,7 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import section_adjacency, star_matrix
 from fthub import freefermion, oracle, trotterbounds
-from fthub.freefermion import _commutator_hh, schatten1, translation_blocks
+from fthub.freefermion import (_commutator_ah, _commutator_hh, schatten1,
+                               translation_blocks)
 from fthub.lattice import build_periodic_hex
 from fthub.tiling import cover_periodic_hex, tile_catalog
 
@@ -168,8 +169,8 @@ class TestCommNorms:
         s = star_matrix(ring6, 0)
         inner = s @ r - r @ s
         nested = inner @ r - r @ inner
-        assert trotterbounds._nested_schatten(s, r, r) == pytest.approx(
-            schatten1(nested))
+        assert schatten1(_commutator_ah(_commutator_hh(s, r), r)) == \
+            pytest.approx(schatten1(nested))
         # exactly, on one spin species: a+ S a and a+ R a as Pauli sums
         # (jw_hopping carries the hopping sign -tau)
         star_edges = [(0, j) for j in ring6.neighbors(0)]
@@ -177,7 +178,8 @@ class TestCommNorms:
         r_op = oracle.jw_hopping(ring6, -1.0, spins=(0,))
         exact = oracle.exact_spectral_norm(s_op.commutator(r_op).commutator(r_op))
         assert exact == pytest.approx(
-            0.5 * trotterbounds._nested_schatten(s, r, r), rel=1e-10)
+            0.5 * schatten1(_commutator_ah(_commutator_hh(s, r), r)),
+            rel=1e-10)
 
     @pytest.mark.parametrize("exclude_idx", [None, 0])
     def test_one_product_commutator_exact_on_01_matrices(self, hex44,

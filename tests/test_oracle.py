@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from fthub.freefermion import schatten1
 from fthub import oracle
@@ -277,8 +278,9 @@ class TestBlockCommutators:
 
 class TestSectorSymmetries:
     """Spin flip and particle-hole symmetry: each orbit of (N_up, N_down)
-    sectors is solved once, and a mirror sector only after its own blocks
-    pass the check.  The plain run, with no maps, solves every sector."""
+    sectors is solved once, with a map used only after ``_commutes`` has
+    checked it once on every compiled operator and the Coulomb diagonals
+    are equal under it.  The plain run, with no maps, solves every sector."""
 
     @staticmethod
     def plain(monkeypatch, check, *args):
@@ -326,7 +328,16 @@ class TestSectorSymmetries:
             assert got["exact"] == pytest.approx(want["exact"], rel=1e-12,
                                                  abs=1e-15)
 
-    def test_maps_are_signed_symmetries(self, ring4):
+    @staticmethod
+    def sparse(op):
+        idx = np.arange(1 << op.n_qubits)
+        groups = op.compile()
+        return scipy.sparse.csr_matrix((
+            np.concatenate(list(groups.values())),
+            (np.concatenate([idx ^ x for x in groups]),
+             np.tile(idx, len(groups)))), shape=(idx.size, idx.size))
+
+    def test_maps_are_signed_symmetries(self, ring4, hexagon, hexagon_cover):
         h = (jw_hopping(ring4, 1.0) + jw_onsite(ring4, 4.0)
              + jw_neighbor(ring4, 2.0)).to_dense()
         maps = oracle._symmetry_maps(ring4)
@@ -335,6 +346,61 @@ class TestSectorSymmetries:
             p = np.zeros_like(h)
             p[perm, np.arange(perm.size)] = sign
             assert np.abs(p @ h @ p.T - h).max() < 1e-14
+
+        # the check on the compiled form agrees with P H P^T = H (sparse, so
+        # the 12-qubit matrices stay small); the number operator is odd
+        # under particle-hole
+        ring5 = ring_lattice(5)
+        cases = []
+        for lattice in (ring4, ring5, hexagon):
+            total = PauliSum(2 * lattice.n_sites)
+            for q in range(2 * lattice.n_sites):
+                total = total + number_op(2 * lattice.n_sites, q)
+            ops = [jw_hopping(lattice, 1.0), jw_onsite(lattice, 4.0),
+                   jw_neighbor(lattice, 2.0), total]
+            if lattice is hexagon:
+                ops += [oracle.jw_section(hexagon, hexagon_cover, s, 1.0)
+                        for s in range(hexagon_cover.n_sections)]
+            cases += [(op, m) for op in ops
+                      for m in oracle._symmetry_maps(lattice)]
+        agreed = Counter()
+        for op, (perm, sign) in cases:
+            p = scipy.sparse.csr_matrix((sign, (perm, np.arange(perm.size))))
+            h = self.sparse(op)
+            matrix = bool(abs(p @ h @ p.T - h).max() < 1e-14)
+            assert oracle._commutes(op.compile(), perm, sign) == matrix
+            agreed[matrix] += 1
+        # 3 maps x 4 operators on ring4, 1 x 4 on ring5 and 3 x 6 on the
+        # two-section hexagon; the number operator fails the two maps with
+        # particle-hole on ring4 and on the hexagon
+        assert hexagon_cover.n_sections == 2
+        assert agreed == {True: 10 + 4 + 16, False: 2 + 2}
+
+    def test_commutes_refuses_broken_maps(self, ring4):
+        lone_z = PauliSum(8, {(0, 1): 0.3}).compile()
+        maps = oracle._symmetry_maps(ring4)
+        assert not any(oracle._commutes(lone_z, *m) for m in maps)
+        # swapping states 2 and 4 alone is not affine: X_0 pairs 4 with 5,
+        # which the swap turns into 2 with 5.  Its diagonal is constant, so
+        # only the mask condition can see that
+        x_0 = PauliSum(8, {(1, 0): 1.0}).compile()
+        perm = np.arange(256)
+        perm[[2, 4]] = perm[[4, 2]]
+        assert not oracle._commutes(x_0, perm, np.ones(256))
+        assert oracle._commutes(x_0, np.arange(256), np.ones(256))
+        hop = jw_hopping(ring4, 1.0).compile()
+        assert all(oracle._commutes(hop, *m) for m in maps)
+
+    def test_sector_sets_refuses_a_split_image(self):
+        labels = oracle._spin_labels(4)
+        perm = np.arange(16)
+        # state 2 is in sector (0, 1) and state 4 in (1, 0); swapping them
+        # alone splits both sectors
+        perm[[2, 4]] = perm[[4, 2]]
+        with pytest.raises(ValueError, match="onto part of sector"):
+            oracle._sector_sets(labels, [(perm, np.ones(16))])
+        flip, _ = oracle._symmetry_maps(two_site_chain())[0]
+        assert len(oracle._sector_sets(labels, [(flip, np.ones(16))])) == 6
 
     def test_hexagon_solves_one_sector_per_orbit(self, hexagon,
                                                  hexagon_cover,
@@ -396,9 +462,9 @@ class TestSectorSymmetries:
 
     def test_walk_builds_each_block_once(self, hexagon, hexagon_cover,
                                          hubbard_params, monkeypatch):
-        # the solve builds each operator's block on a kept sector once; the
-        # walk adds at most one more build of it, however many maps carry
-        # that sector onto a mirror
+        # the symmetries are checked on the compiled operators, so the walk
+        # builds no block: each operator's block on a kept sector is built
+        # once, by its solve
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
         params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
         real = oracle._block
@@ -415,12 +481,13 @@ class TestSectorSymmetries:
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_block", counted)
                 check(*args)
-            assert max(builds.values()) == 2, check.__name__
+            assert max(builds.values()) == 1, check.__name__
 
 
 class TestTransientMemory:
     """The tracemalloc peak of one warm hexagon check: a sector's blocks are
-    built where they are consumed and freed before the next solve."""
+    built where they are consumed and freed before the next solve, the
+    nested commutators one at a time, and one half step at a time."""
 
     # half of the largest real block, a 400-state sector: 400^2 * 8 B / 2
     SLACK = 400 ** 2 * 8 // 2
@@ -437,16 +504,18 @@ class TestTransientMemory:
 
     def test_commutator_bounds(self, hexagon):
         params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=2.0)
-        # 10.33 MiB when each sector's blocks lived only through its solve
+        # 10.33 MiB when the walk built blocks to check the maps and the
+        # three nested commutators were live together
         assert self.peak(verify_commutator_bounds, hexagon,
-                         params) <= 10_836_957 + self.SLACK
+                         params) <= 8_243_552 + self.SLACK
 
     def test_trotter_step(self, hexagon, hexagon_cover, hubbard_params):
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
-        # 24.09 MiB when each sector's blocks lived only through its solve
+        # 24.09 MiB when the walk built blocks to check the maps and every
+        # section's half step was live together
         assert self.peak(verify_trotter_step, hexagon, hexagon_cover,
                          hubbard_params, (0.05, 0.1, 0.2),
-                         bd) <= 25_264_100 + self.SLACK
+                         bd) <= 17_550_780 + self.SLACK
 
 
 class TestTrotterStep:

@@ -306,10 +306,9 @@ class TestTranslationBlocks:
                 for a in range(b, len(blocks)):
                     outer = freefermion._commutator_ah(inner, blocks[a])
                     assert np.array_equal(outer, outer.conj().swapaxes(-1, -2))
-                    assert trotterbounds._nested_schatten(
-                        blocks[b], blocks[c], blocks[a]) == pytest.approx(
-                            _dense_nested(blocks[b], blocks[c], blocks[a]),
-                            rel=1e-12)
+                    assert schatten1(outer) == pytest.approx(
+                        _dense_nested(blocks[b], blocks[c], blocks[a]),
+                        rel=1e-12)
         assert w_h(cover, 0.7) == pytest.approx(
             _four_product_w_h(blocks, 0.7), rel=1e-12)
 
