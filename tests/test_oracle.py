@@ -406,13 +406,21 @@ class TestSectorSymmetries:
                                                  hexagon_cover,
                                                  hubbard_params, monkeypatch):
         # orbits of the 7 x 7 sectors under spin flip, particle-hole and
-        # their product: (49 + 7 + 1 + 7) / 4 = 16 by Burnside's lemma
+        # their product: (49 + 7 + 1 + 7) / 4 = 16 by Burnside's lemma.  Of
+        # the kept sectors, (0, 0), (1, 1), (2, 2) and (0, 6), (1, 5), (2, 4)
+        # are fixed by one map and (3, 3) by all three: 2 + 2 + 4 parity
+        # blocks, less the odd block of the one-state (0, 0) and (0, 6),
+        # gives 16 + 1 + 1 + 3 + 2 = 23 blocks
         assert len(oracle._symmetry_maps(hexagon)) == 3
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
         calls = self.count_calls(monkeypatch, "eigh")
         verify_trotter_step(hexagon, hexagon_cover, hubbard_params, (0.1,),
                             bd)
-        assert len(calls) == (1 + hexagon_cover.n_sections) * 16
+        ops = 1 + hexagon_cover.n_sections
+        assert len(calls) == ops * 23
+        assert max(n for n, _ in calls) == 300
+        # 1.17e8 for the 16 whole sectors, the largest of 400 states
+        assert sum(n ** 3 for n, _ in calls) == ops * 40_057_706
 
     def test_no_particle_hole_without_two_colouring(self, monkeypatch):
         ring5 = ring_lattice(5)
@@ -463,7 +471,7 @@ class TestSectorSymmetries:
     def test_walk_builds_each_block_once(self, hexagon, hexagon_cover,
                                          hubbard_params, monkeypatch):
         # the symmetries are checked on the compiled operators, so the walk
-        # builds no block: each operator's block on a kept sector is built
+        # builds no block: each operator's block on a kept basis is built
         # once, by its solve
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
         params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
@@ -474,9 +482,10 @@ class TestSectorSymmetries:
                             (verify_commutator_bounds, (hexagon, params))):
             builds = Counter()
 
-            def counted(groups, members, dim):
-                builds[id(groups), members.tobytes()] += 1
-                return real(groups, members, dim)
+            def counted(groups, basis, dim):
+                states, coefs = basis
+                builds[id(groups), states.tobytes(), coefs.tobytes()] += 1
+                return real(groups, basis, dim)
 
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_block", counted)
@@ -484,12 +493,150 @@ class TestSectorSymmetries:
             assert max(builds.values()) == 1, check.__name__
 
 
-class TestTransientMemory:
-    """The tracemalloc peak of one warm hexagon check: a sector's blocks are
-    built where they are consumed and freed before the next solve, the
-    nested commutators one at a time, and one half step at a time."""
+class TestParityBases:
+    """A sector that a kept map carries onto itself is solved as the
+    character blocks of its stabiliser: symmetry-adapted bases whose
+    columns are normalised signed sums over the orbits of the maps."""
 
-    # half of the largest real block, a 400-state sector: 400^2 * 8 B / 2
+    @staticmethod
+    def dense(basis, dim):
+        states, coefs = basis
+        q = np.zeros((dim, states.shape[1]))
+        for s, c in zip(states, coefs):
+            q[s, np.arange(s.size)] += c
+        return q
+
+    @pytest.mark.parametrize("name", ["ring4", "ring5", "hexagon"])
+    def test_bases_split_each_sector(self, request, name):
+        lattice = (ring_lattice(5) if name == "ring5"
+                   else request.getfixturevalue(name))
+        n_qubits = 2 * lattice.n_sites
+        dim = 1 << n_qubits
+        labels = oracle._spin_labels(n_qubits)
+        op = (jw_hopping(lattice, 1.0) + jw_onsite(lattice, 4.0)
+              + jw_neighbor(lattice, 2.0))
+        h = TestSectorSymmetries.sparse(op)
+        maps = oracle._symmetry_maps(lattice)
+        (groups,), bases = oracle._spin_sectors(lattice, [("H", op)], [])
+        by_sector = {}
+        for basis in bases:
+            by_sector.setdefault(int(labels[basis[0][0, 0]]), []).append(basis)
+        split = 0
+        for label, blocks in by_sector.items():
+            members = np.flatnonzero(labels == label)
+            stab = [(p, s) for p, s in maps
+                    if labels[p[members[0]]] == label]
+            qs = [self.dense(b, dim) for b in blocks]
+            # the blocks partition the sector, each with orthonormal columns
+            assert sum(q.shape[1] for q in qs) == members.size
+            q_all = np.hstack(qs)
+            assert np.abs(q_all.T @ q_all
+                          - np.eye(members.size)).max() < 1e-14
+            assert not q_all[labels != label].any()
+            # every stabiliser map acts on a block as its character, and
+            # no two blocks of a sector share one
+            characters = set()
+            for basis, q in zip(blocks, qs):
+                chi = []
+                for perm, sign in stab:
+                    pq = np.zeros_like(q)
+                    pq[perm] = sign[:, None] * q
+                    qpq = q.T @ pq
+                    chi.append(round(qpq[0, 0]))
+                    assert chi[-1] in (1, -1)
+                    assert np.abs(qpq - chi[-1] * np.eye(q.shape[1])).max() \
+                        < 1e-14
+                characters.add(tuple(chi))
+                # the scatter build is Q^T H Q
+                assert np.abs(oracle._block(groups, basis, dim)
+                              - q.T @ (h @ q)).max() < 1e-12
+            assert len(characters) == len(blocks)
+            split += len(blocks) > 1
+        # the self-mapped sectors with more than one state: (1, 1), (2, 2),
+        # (1, 3) on ring4; (1, 1) ... (4, 4) on ring5, spin flip only; and
+        # (1, 1), (2, 2), (3, 3), (1, 5), (2, 4) on the hexagon
+        assert split == {"ring4": 3, "ring5": 4, "hexagon": 5}[name]
+
+    @staticmethod
+    def two_dimers():
+        info = tuple(SiteInfo(i, i, 0, i % 2, "edge") for i in range(4))
+        return LatticeGraph(4, ((0, 1), (2, 3)), info, "custom")
+
+    @pytest.mark.parametrize("broken", ["square", "anticommute"])
+    def test_broken_stabiliser_solves_the_whole_sector(self, monkeypatch,
+                                                        broken):
+        # on two disconnected dimers the number of up electrons on the first
+        # one is conserved, so its parity s may multiply a map's sign and
+        # the map still commutes with every operator.  s times spin flip
+        # squares to (-1)^(electrons on the first dimer); s times
+        # particle-hole is an involution that anticommutes with spin flip
+        # wherever that number is odd
+        lattice = self.two_dimers()
+        real = oracle._symmetry_maps
+        idx = np.arange(256)
+        s = 1.0 - 2.0 * ((idx ^ (idx >> 2)) & 1)
+
+        def broken_maps(lat):
+            (flip, f_sign), (hole, h_sign), _ = real(lat)
+            if broken == "square":
+                f_sign = f_sign * s
+            else:
+                h_sign = h_sign * s
+            return [(flip, f_sign), (hole, h_sign),
+                    (flip[hole], h_sign * f_sign[hole])]
+
+        monkeypatch.setattr(oracle, "_symmetry_maps", broken_maps)
+        hop = jw_hopping(lattice, 1.0)
+        assert all(oracle._commutes(hop.compile(), *m)
+                   for m in broken_maps(lattice))
+        labels = oracle._spin_labels(8)
+        _, bases = oracle._spin_sectors(lattice, [("hopping", hop)], [])
+        sizes = Counter(int(labels[b[0][0, 0]]) for b in bases)
+        refused = 1 * 9 + 1 if broken == "square" else 2 * 9 + 2
+        assert sizes[refused] == 1
+        assert bases[[int(labels[b[0][0, 0]]) for b in bases].index(
+            refused)][0].shape == (1, np.sum(labels == refused))
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
+        got = verify_commutator_bounds(lattice, params)
+        plain = TestSectorSymmetries.plain(monkeypatch,
+                                           verify_commutator_bounds,
+                                           lattice, params)
+        for g, want in zip(got, plain):
+            assert g["exact"] == pytest.approx(want["exact"], rel=1e-12,
+                                               abs=0.0)
+
+    def test_parity_bases_refuse_a_non_group(self):
+        lattice = self.two_dimers()
+        labels = oracle._spin_labels(8)
+        members = np.flatnonzero(labels == 2 * 9 + 2)
+        flip, hole, both = oracle._symmetry_maps(lattice)
+        assert len(oracle._parity_bases(members, [flip, hole, both])) == 4
+        # two maps without their product do not close to a group
+        plain = oracle._parity_bases(members, [flip, hole])
+        assert len(plain) == 1 and plain[0][0].shape == (1, members.size)
+        assert np.array_equal(plain[0][0][0], members)
+        # spin flip times the parity s of the up electrons on the first
+        # dimer squares to a sign pattern sigma on sector (1, 1): with sigma
+        # and their product it closes to a cyclic group of order 4, whose
+        # characters are not all real
+        members = np.flatnonzero(labels == 1 * 9 + 1)
+        idx = np.arange(256)
+        perm, sign = flip
+        sign = sign * (1.0 - 2.0 * ((idx ^ (idx >> 2)) & 1))
+        sigma = sign * sign[perm]
+        assert (sigma[members] == -1).any()
+        cyclic = [(perm, sign), (idx, sigma), (perm, sigma * sign)]
+        plain = oracle._parity_bases(members, cyclic)
+        assert len(plain) == 1 and plain[0][0].shape == (1, members.size)
+
+
+class TestTransientMemory:
+    """The tracemalloc peak of one warm hexagon check: a block's matrices
+    are built where they are consumed and freed before the next solve, the
+    nested commutators one at a time, and one section step at a time."""
+
+    # half a real block of the hexagon's largest sector, 400 states:
+    # 400^2 * 8 B / 2
     SLACK = 400 ** 2 * 8 // 2
 
     @staticmethod
@@ -505,17 +652,19 @@ class TestTransientMemory:
     def test_commutator_bounds(self, hexagon):
         params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=2.0)
         # 10.33 MiB when the walk built blocks to check the maps and the
-        # three nested commutators were live together
+        # three nested commutators were live together, 7.86 MiB when each
+        # self-mapped sector was solved whole
         assert self.peak(verify_commutator_bounds, hexagon,
-                         params) <= 8_243_552 + self.SLACK
+                         params) <= 4_937_344 + self.SLACK
 
     def test_trotter_step(self, hexagon, hexagon_cover, hubbard_params):
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
         # 24.09 MiB when the walk built blocks to check the maps and every
-        # section's half step was live together
+        # section's half step was live together, 16.74 MiB when each
+        # self-mapped sector was solved whole
         assert self.peak(verify_trotter_step, hexagon, hexagon_cover,
                          hubbard_params, (0.05, 0.1, 0.2),
-                         bd) <= 17_550_780 + self.SLACK
+                         bd) <= 10_321_204 + self.SLACK
 
 
 class TestTrotterStep:
