@@ -1,43 +1,33 @@
 """Exact desk-scale verification layer.
 
-Everything here works on explicit qubit representations (at most 16 qubits)
-obtained through the Jordan-Wigner mapping with interleaved spin orbitals:
-site i's up orbital occupies qubit 2i and its down orbital qubit 2i + 1.
-The layer provides exact spectral norms (dense eigensolves of the blocks an
-operator leaves invariant: one per conserved (N_up, N_down) sector, built
-from the compiled X-mask form of :class:`PauliSum`), eigendecomposition-based
-time evolution, and the identity checks used to certify every closed-form
-bound and gate identity on small instances.
+Explicit qubit representations (at most 16 qubits) through the
+Jordan-Wigner mapping with interleaved spin orbitals: site i's up orbital
+is qubit 2i, its down orbital qubit 2i + 1.  Exact spectral norms are dense
+eigensolves of the blocks an operator leaves invariant, built from the
+compiled X-mask form of :class:`PauliSum`; time evolution goes through the
+eigendecomposition; identity checks certify the closed-form bounds and gate
+identities on small instances.  The nested commutators of the
+Coulomb/hopping bounds are taken on blocks of the hopping operator and the
+Coulomb diagonals, with no Pauli product.
 
-The nested commutators behind the Coulomb/hopping bounds are taken on the
-sector blocks of the hopping operator, with the one-product commutator of
-``freefermion`` and the Coulomb diagonals; no Pauli product is formed for
-them.
+``_sector_sets`` groups the states by (N_up, N_down), enforces the block
+cap before any block is built and drops the mirror sectors of each symmetry
+orbit; ``exact_spectral_norm`` solves every sector.  The lattice checks get
+their operators and blocks from ``_spin_sectors``.  Spin flip (qubits 2i and
+2i + 1 swapped, (a, b) -> (b, a)) and, on a 2-colourable lattice,
+particle-hole (every qubit flipped, (a, b) -> (N - a, N - b)) act on basis
+states as signed permutations |m> -> eps(m) |pi(m)>.  A map is used only if
+``_commutes`` accepts it on every compiled operator and every Coulomb
+diagonal is exactly equal under it; no block is built to check a map.
 
-Every exact check walks the sectors through ``_sector_sets``, which
-enforces the block cap before any block is built and drops the mirror
-sectors of each symmetry orbit.  ``exact_spectral_norm`` has no lattice and
-solves every sector; the commutator-bound and Trotter-step checks get their
-compiled operators and sectors from ``_spin_sectors``.  Spin flip swaps
-qubits 2i and 2i + 1 and maps sector (a, b) to (b, a); on a lattice whose
-edges admit a 2-colouring, particle-hole flips every qubit and maps (a, b)
-to (N - a, N - b).  Each acts on basis states as a signed permutation,
-|m> -> eps(m) |pi(m)>.  A map is used only after one check per operator on
-its compiled X-mask groups (``_commutes``, to ``LEAK_RTOL``) and exact
-equality d[pi(m)] == d[m] of every Coulomb diagonal; a map that fails is
-not used on any sector.  No block is built to check a map.
-
-A kept sector that maps carry onto itself is solved as parity blocks
-(``_parity_bases``, after Sandvik, arXiv:1101.3281): spin flip fixes
-(a, a), particle-hole (N/2, N/2) and their product every a + b = N.  Its
-stabiliser, checked on the sector's states to be a group of signed
-involutions, splits it into one symmetry-adapted basis per character, and
-``_block`` builds each block from the compiled X-mask groups on that basis.
-The Coulomb diagonals are equal over every orbit, so they stay diagonal
-there and every check runs on the parity blocks unchanged.  On the 12-qubit
-hexagon the 16 kept sectors become 23 blocks, the largest of 300 states
-instead of 400, and the summed n^3 of a solve falls from 1.17e8 to 4.0e7;
-``run_suite("full")`` builds 683 blocks (491 whole sectors before).
+A kept sector that maps carry onto itself, (a, a), (N/2, N/2) or
+a + b = N, is solved as parity blocks (``_parity_bases``, after Sandvik,
+arXiv:1101.3281): one symmetry-adapted basis per character of its
+stabiliser, once that is checked to be a group of signed involutions on
+the sector.  The Coulomb diagonals are constant on each orbit, so every
+check runs on the parity blocks unchanged.  On the 12-qubit hexagon the 16
+kept sectors are 23 blocks (largest 300 states, summed n^3 4.0e7 against
+1.17e8), and ``run_suite("full")`` builds 683 blocks.
 """
 
 from __future__ import annotations
@@ -300,18 +290,14 @@ def _plain(members: np.ndarray) -> tuple:
 
 
 def _parity_bases(members: np.ndarray, stab: list) -> list:
-    """Symmetry-adapted bases of the sector ``members`` under the signed maps
-    ``stab`` that carry it onto itself, one per character chi of the group G
-    they form with the identity.  Column r of the chi basis is the
-    normalised sum_g chi(g) eps_g(r) |pi_g(r)> over the orbit of its smallest
-    state r, held as one (state, coefficient) slot per element g; columns
-    and bases that vanish are dropped.
-
-    The maps are used only when, on ``members``, each product of two
-    elements (signs included) is an element and every element squares to
-    the identity, so that G is abelian of order 2^k and its characters are
-    the 2^k sign patterns chi with chi(g) chi(h) = chi(gh); otherwise the
-    sector is returned whole, as its plain basis."""
+    """Symmetry-adapted bases of sector ``members`` under the signed maps
+    ``stab`` that fix it, one per character chi of the group G they form
+    with the identity: column r is the normalised sum_g chi(g) eps_g(r)
+    |pi_g(r)>, one (state, coefficient) slot per g, from the smallest state
+    r of each orbit; vanishing columns and bases are dropped.  The plain
+    basis when, on ``members``, G is not closed (signs included) or an
+    element does not square to the identity: then G is not abelian of order
+    2^k with the sign characters chi(g) chi(h) = chi(gh)."""
     if not stab:
         return [_plain(members)]
     group = [(np.arange(stab[0][0].size), np.ones(stab[0][0].size))] + stab
@@ -349,11 +335,11 @@ def _parity_bases(members: np.ndarray, stab: list) -> list:
 
 
 def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
-    """Dense matrix Q^T (sum_x X^x diag(d_x)) Q on the orthonormal columns
-    Q of ``basis`` (``_plain`` or ``_parity_bases``) in a ``dim``-state
-    space, real when its imaginary part is exactly zero: one scatter per X
-    mask and orbit slot.  Entries leading out of the basis are dropped;
-    callers make sure there are none."""
+    """Dense Q^T (sum_x X^x diag(d_x)) Q on the orthonormal columns Q of
+    ``basis`` (``_plain`` or ``_parity_bases``) in a ``dim``-state space,
+    real when its imaginary part is exactly zero; one scatter per X mask and
+    orbit slot.  Entries leading out of the basis are dropped; callers make
+    sure there are none."""
     states, coefs = basis
     cols = np.arange(states.shape[1])
     row = np.full(dim, -1)
