@@ -12,15 +12,16 @@ bonds are inherited from the infinite lattice, which guarantees that every
 site belongs to at least one complete hexagonal face.
 
 A lattice is stored as its edge list: the sorted tuple of distinct bonds
-(i, j) with i < j.  Degrees, neighbor lists and the edge count are computed
-from it, so memory grows with the number of bonds, not with N^2.  The dense
+(i, j) with i < j, checked on entry as the ascending array of codes
+i * N + j.  Degrees, neighbor lists and the edge count are computed from
+them, so memory grows with the number of bonds, not with N^2.  The dense
 N x N adjacency matrix is derived on request, for small lattices only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,16 +46,35 @@ class LatticeGraph:
     site_info: tuple
     kind: str                      # periodic_hex | hex_fragment | square_fragment | custom
     dims: tuple | None = None      # (L_x, L_y) for periodic builds
+    # code i * n_sites + j of each edge, ascending; set by the edge check
+    edge_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_sites
-        for i, j in self.edges:
-            if not (isinstance(i, (int, np.integer))
-                    and isinstance(j, (int, np.integer)) and 0 <= i < j < n):
-                raise LatticeError(f"edge ({i}, {j}) needs integers "
-                                   f"0 <= i < j < {n}")
-        if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
+        try:
+            pairs = np.asarray(self.edges)
+        except ValueError:       # ragged; the walk below names the bad edge
+            pairs = np.zeros(0)
+        in_range = False
+        if pairs.shape == (len(self.edges), 2) and pairs.dtype.kind in "iu":
+            i, j = pairs.astype(np.int64).T
+            in_range = not len(i) or (int(i.min()) >= 0 and int((j - i).min()) > 0
+                                      and int(j.max()) < n)
+        if not in_range:
+            # name the first bad edge; edges that pass (none, or bools) are
+            # checked for order below
+            for i, j in self.edges:
+                if not (isinstance(i, (int, np.integer))
+                        and isinstance(j, (int, np.integer)) and 0 <= i < j < n):
+                    raise LatticeError(f"edge ({i}, {j}) needs integers "
+                                       f"0 <= i < j < {n}")
+            i, j = _edge_array(self.edges).T
+        # the codes order the pairs as tuples do: a step that is not
+        # positive is an unsorted or repeated edge
+        codes = i * n + j
+        if len(codes) > 1 and int(np.diff(codes).min()) <= 0:
             raise LatticeError("edges must be sorted and distinct")
+        object.__setattr__(self, "edge_codes", codes)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -70,10 +90,32 @@ class LatticeGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return _degrees(self.n_sites, self.edges)
+        return np.bincount(np.concatenate(self.edge_ends()), minlength=self.n_sites)
 
     def neighbors(self, i: int) -> list:
-        return sorted(b if a == i else a for a, b in self.edges if i in (a, b))
+        # edges are sorted: the heads of the edges into i ascend below i,
+        # the tails of the edges out of i ascend above it
+        head, tail = self.edge_ends()
+        return np.concatenate([head[_equal(tail, i)], tail[_equal(head, i)]]).tolist()
+
+    def edge_ends(self) -> tuple:
+        """(i, j) arrays of the edges, in edge order."""
+        return np.divmod(self.edge_codes, max(self.n_sites, 1))
+
+    def edge_positions(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Index in ``edges`` of each site pair (i, j) with i <= j, or -1
+        where the pair is no edge."""
+        head, _ = self.edge_ends()
+        count = np.bincount(head, minlength=self.n_sites)
+        first = np.cumsum(count) - count
+        codes = i * self.n_sites + j
+        found = np.full(codes.shape, -1)
+        # the edges out of each site are contiguous: try each slot
+        for slot in range(int(count.max(initial=0))):
+            at = np.minimum(first[i] + slot, self.n_edges - 1)
+            hit = _equal(self.edge_codes[at], codes)
+            found[hit] = at[hit]
+        return found
 
     @property
     def n_center(self) -> int:
@@ -89,6 +131,13 @@ def _edge_array(edges) -> np.ndarray:
     return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
 
+def _equal(a, b) -> np.ndarray:
+    """a == b for integer arrays, as a zero difference: the lattice and
+    cover code compares integers this way only, which keeps numpy's
+    comparison kernels out of processes that never use them otherwise."""
+    return ~(a - b).astype(bool)
+
+
 def _degrees(n: int, edges) -> np.ndarray:
     return np.bincount(_edge_array(edges).ravel(), minlength=n)
 
@@ -100,10 +149,10 @@ def _edge_tuple(pairs) -> tuple:
 
 def degree_histogram(lattice: LatticeGraph) -> dict:
     """Map degree -> number of sites with that degree."""
-    hist: dict = {}
-    for d in lattice.degrees():
-        hist[int(d)] = hist.get(int(d), 0) + 1
-    return hist
+    deg = lattice.degrees()
+    counts = np.bincount(deg).tolist()
+    # keys in the order the degrees first occur, walking the sites
+    return {d: counts[d] for d in dict.fromkeys(deg.tolist())}
 
 
 def regular_degree(lattice: LatticeGraph) -> int | None:
@@ -134,17 +183,21 @@ def build_periodic_hex(l_x: int, l_y: int) -> LatticeGraph:
     """Periodic hexagonal lattice with 2 * l_x * l_y sites, 3-regular."""
     check_periodic_dims(l_x, l_y)
     n = 2 * l_x * l_y
-    info = []
-    for m in range(l_y):
-        for l in range(l_x):
-            for c in (0, 1):
-                info.append(SiteInfo(hex_site_index(l, m, c, l_x, l_y), l, m, c, "center"))
-    edges = _edge_tuple((hex_site_index(l, m, 0, l_x, l_y),
-                         hex_site_index(l + dl, m + dm, 1, l_x, l_y))
-                        for m in range(l_y) for l in range(l_x)
-                        for dl, dm in ((0, 0), (-1, 0), (0, -1)))
-    info.sort(key=lambda s: s.index)
-    return LatticeGraph(n, edges, tuple(info), "periodic_hex", (l_x, l_y))
+    cell, color = np.divmod(np.arange(n), 2)
+    info = tuple(map(SiteInfo, range(n), (cell % l_x).tolist(),
+                     (cell // l_x).tolist(), color.tolist(), ["center"] * n))
+    # the color-0 site of each cell is bonded to the color-1 sites of the
+    # cell and of its -x and -y neighbors
+    m, l = np.divmod(np.arange(l_x * l_y), l_x)
+    head = hex_site_index(l, m, 0, l_x, l_y)
+    tail = np.stack([hex_site_index(l + dl, m + dm, 1, l_x, l_y)
+                     for dl, dm in ((0, 0), (-1, 0), (0, -1))])
+    # each bond once, as the code i * n + j of i < j, in ascending order
+    codes = sorted(set((np.minimum(head, tail) * n
+                        + np.maximum(head, tail)).ravel().tolist()))
+    head, tail = np.divmod(np.array(codes, dtype=np.int64), n)
+    edges = tuple(zip(head.tolist(), tail.tolist()))
+    return LatticeGraph(n, edges, info, "periodic_hex", (l_x, l_y))
 
 
 # ---------------------------------------------------------------------------

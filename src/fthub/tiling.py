@@ -17,11 +17,14 @@ with a 4 x 2 cell supercell and exists for all even lattice dimensions.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, groupby
+from operator import itemgetter
 
 import numpy as np
 
-from .lattice import LatticeGraph, hex_site_index
+from .lattice import LatticeGraph, _equal, hex_site_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -155,29 +158,29 @@ def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
         raise CoverError("cover_periodic_hex needs a periodic_hex lattice")
     check_cover_dims(*lattice.dims)
     l_x, l_y = lattice.dims
+    # cells in m-major, l-minor order; l_x is even, so the even columns are
+    # the even cells
+    m, l = np.divmod(np.arange(l_x * l_y), l_x)
 
-    def s(l, m, c):
-        return hex_site_index(l, m, c, l_x, l_y)
+    def s(dl, dm, c):
+        return hex_site_index(l + dl, m + dm, c, l_x, l_y)
 
-    blue, red, gold = [], [], []
-    for m in range(l_y):
-        for l in range(l_x):
-            if l % 2 == 0:
-                # intra-cell bond + x-neighbor bond, centered on the color-0 site
-                red.append(Tile("S2", (s(l, m, 0), s(l, m, 1), s(l - 1, m, 1))))
-                # x-neighbor + y-neighbor bonds, centered on the color-1 site
-                tile = Tile("S2", (s(l, m, 1), s(l + 1, m, 0), s(l, m + 1, 0)))
-                parity = (l // 2) % 2
-                (blue if m % 2 != parity else gold).append(tile)
-            else:
-                # intra-cell + y-neighbor bonds, centered on the color-0 site
-                tile = Tile("S2", (s(l, m, 0), s(l, m, 1), s(l, m - 1, 1)))
-                parity = ((l - 1) // 2) % 2
-                (blue if m % 2 == parity else gold).append(tile)
+    # even columns: intra-cell + x-neighbor bonds, centered on the color-0
+    # site (red), and x-neighbor + y-neighbor bonds, centered on the color-1
+    # site; odd columns: intra-cell + y-neighbor bonds, centered on the
+    # color-0 site.  Blue takes the cells with m + l // 2 + l odd.
+    red = np.stack([s(0, 0, 0), s(0, 0, 1), s(-1, 0, 1)], axis=1)[::2]
+    other = np.stack([s(0, 0, 0), s(0, 0, 1), s(0, -1, 1)], axis=1)
+    other[::2] = np.stack([s(0, 0, 1), s(1, 0, 0), s(0, 1, 0)], axis=1)[::2]
+    parity = (m + l // 2 + l) % 2
 
-    cover = SectionCover(lattice, (Section("blue", tuple(blue)),
-                                   Section("red", tuple(red)),
-                                   Section("gold", tuple(gold))))
+    def tiles(rows):
+        return tuple(Tile("S2", sites) for sites in zip(*rows.T.tolist()))
+
+    cover = SectionCover(lattice, (
+        Section("blue", tiles(other[np.flatnonzero(parity)])),
+        Section("red", tiles(red)),
+        Section("gold", tiles(other[np.flatnonzero(1 - parity)]))))
     report = validate_cover(lattice, cover)
     if not report.valid:
         raise CoverError("periodic cover construction failed: "
@@ -251,42 +254,132 @@ class CoverReport:
 
 def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
     """Check disjointness within sections, exact edge coverage, and that every
-    tile realizes its catalog interaction graph on the lattice."""
-    violations = []
-    lattice_edges = set(lattice.edges)
-    seen_edges: dict = {}
-    for sec in cover.sections:
-        used_sites: set = set()
-        for tile in sec.tiles:
-            if tile.kind not in _CATALOG:
-                violations.append(f"unknown tile kind {tile.kind}")
-                continue
-            tmpl = _CATALOG[tile.kind]
-            if len(tile.sites) != tmpl.n_sites:
-                violations.append(f"{tile.kind} tile has {len(tile.sites)} sites")
-                continue
-            if any(i < 0 or i >= lattice.n_sites for i in tile.sites):
-                violations.append(f"tile references missing site: {tile.sites}")
-                continue
-            if len(set(tile.sites)) != len(tile.sites):
-                violations.append(f"tile repeats a site: {tile.sites}")
-            for i, j in tile.edges:
-                if (i, j) not in lattice_edges:
-                    violations.append(f"tile edge ({i},{j}) absent from lattice")
-                seen_edges[(i, j)] = seen_edges.get((i, j), 0) + 1
-            overlap = used_sites & set(tile.sites)
-            if overlap:
-                violations.append(
-                    f"section overlap in {sec.color}: sites {sorted(overlap)}")
-            used_sites.update(tile.sites)
+    tile realizes its catalog interaction graph on the lattice.
 
-    for e, count in sorted(seen_edges.items()):
-        if count > 1:
-            violations.append(f"duplicate edge {e} covered {count} times")
-    for e in lattice.edges:
-        if e not in seen_edges:
-            violations.append(f"edge {e} not covered")
+    The checks run on one (T, q) site array per tile kind.  A tile of
+    unknown kind, with the wrong number of sites, or with a site that is not
+    a lattice site index gets that one violation.  Any other tile may repeat
+    a site, have edges absent from the lattice, or share sites with earlier
+    tiles of its section; its sites and edges count toward section overlap
+    and edge coverage.  Violations are listed tile by tile in cover order,
+    then duplicate edges in edge order, then uncovered lattice edges.
+
+    A valid cover is decided from sums and extremes of the arrays; the
+    entries that fail are located, and their messages built, only when a
+    check fails."""
+    n = lattice.n_sites
+    tiles = [t for sec in cover.sections for t in sec.tiles]
+    section = np.repeat(np.arange(len(cover.sections)),
+                        [len(sec.tiles) for sec in cover.sections])
+    sites = [t.sites for t in tiles]
+    size = np.fromiter(map(len, sites), dtype=np.int64, count=len(tiles))
+    offset = np.cumsum(size) - size
+    flat, valid = _site_indices(list(chain.from_iterable(sites)), n)
+    kind_names = [t.kind for t in tiles]
+    kinds = {kind: k for k, kind in enumerate(dict.fromkeys(kind_names))}
+    member = np.zeros((len(kinds), len(tiles)), dtype=bool)
+    member[list(map(kinds.__getitem__, kind_names)), np.arange(len(tiles))] = True
+
+    early: dict = {}     # tile -> the one violation that ends its checks
+    absent: dict = {}    # tile -> its sorted edges absent from the lattice
+    checked = np.zeros(len(tiles), dtype=bool)
+    found = []           # lattice edge of each checked tile edge, or -1
+    for kind, row in zip(kinds, member):
+        pos = np.flatnonzero(row)
+        tmpl = _CATALOG.get(kind)
+        if tmpl is None:
+            early.update((p, f"unknown tile kind {tiles[p].kind}")
+                         for p in pos.tolist())
+            continue
+        resized = ~_equal(size[pos], tmpl.n_sites)
+        early.update((p, f"{tiles[p].kind} tile has {len(sites[p])} sites")
+                     for p in pos[resized].tolist())
+        pos = pos[~resized]
+        entries = offset[pos][:, None] + np.arange(tmpl.n_sites)
+        missing = ~valid[entries].all(axis=1)
+        early.update((p, f"tile references missing site: {sites[p]}")
+                     for p in pos[missing].tolist())
+        pos, arr = pos[~missing], flat[entries[~missing]]
+        checked[pos] = True
+
+        a, b = np.array(tmpl.local_edges).T
+        lo = np.minimum(arr[:, a], arr[:, b])
+        hi = np.maximum(arr[:, a], arr[:, b])
+        at = lattice.edge_positions(lo, hi)
+        found.append(at.ravel())
+        if at.size and int(at.min()) < 0:
+            for r in np.flatnonzero((at < 0).any(axis=1)).tolist():
+                gone = at[r] < 0
+                absent[int(pos[r])] = sorted(zip(lo[r][gone].tolist(),
+                                                 hi[r][gone].tolist()))
+
+    # each section writes its entry numbers into a site-indexed array, so a
+    # site keeps one entry; a section where some entry is not kept holds a
+    # site twice, in one tile or in two, and is walked tile by tile
+    held = np.repeat(checked, size)
+    site = flat[held]
+    tile = np.repeat(np.arange(len(tiles)), size)[held]
+    ends = np.cumsum(np.bincount(section[tile], minlength=len(cover.sections)))
+    owner = np.full(n, -1)
+    repeats: set = set()
+    overlap: dict = {}
+    for start, end in zip([0, *ends[:-1].tolist()], ends.tolist()):
+        owner[site[start:end]] = np.arange(start, end)
+        kept = np.zeros(end - start, dtype=bool)
+        kept[owner[site[start:end]] - start] = True
+        if kept.all():
+            continue
+        used: set = set()
+        for p, group in groupby(zip(tile[start:end].tolist(),
+                                    site[start:end].tolist()), key=itemgetter(0)):
+            mine = [i for _, i in group]
+            if len(set(mine)) < len(mine):
+                repeats.add(p)
+            if used & set(mine):
+                overlap[p] = sorted(used & set(mine))
+            used.update(mine)
+
+    violations = []
+    for p in sorted(set(early) | repeats | set(absent) | set(overlap)):
+        if p in early:
+            violations.append(early[p])
+            continue
+        if p in repeats:
+            violations.append(f"tile repeats a site: {sites[p]}")
+        violations.extend(f"tile edge ({i},{j}) absent from lattice"
+                          for i, j in absent.get(p, ()))
+        if p in overlap:
+            violations.append(f"section overlap in "
+                              f"{cover.sections[section[p]].color}: "
+                              f"sites {overlap[p]}")
+
+    # bin 0 takes the absent edges
+    covered = np.bincount(np.concatenate([np.zeros(0, np.int64), *found]) + 1,
+                          minlength=lattice.n_edges + 1)[1:]
+    if absent or int(covered.min(initial=1)) < 1 or int(covered.max(initial=1)) > 1:
+        head, tail = lattice.edge_ends()
+        twice = np.flatnonzero(covered > 1)
+        repeated = list(zip(head[twice].tolist(), tail[twice].tolist(),
+                            covered[twice].tolist()))
+        repeated += [(*e, c) for e, c in Counter(
+            e for gone in absent.values() for e in gone).items() if c > 1]
+        violations.extend(f"duplicate edge {(i, j)} covered {c} times"
+                          for i, j, c in sorted(repeated))
+        violations.extend(f"edge {lattice.edges[e]} not covered"
+                          for e in np.flatnonzero(covered == 0).tolist())
     return CoverReport(not violations, violations)
+
+
+def _site_indices(sites: list, n: int) -> tuple:
+    """``sites`` as an int64 array, and the mask of its entries that are
+    integer site indices of an n-site lattice (the others read 0)."""
+    if set(map(type, sites)) <= {int} and (not sites
+                                          or 0 <= min(sites) <= max(sites) < n):
+        return np.array(sites, dtype=np.int64), np.ones(len(sites), dtype=bool)
+    valid = [isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+             and 0 <= i < n for i in sites]
+    return (np.array([i if v else 0 for i, v in zip(sites, valid)], dtype=np.int64),
+            np.array(valid, dtype=bool))
 
 
 def cover_tile_census(cover: SectionCover) -> list:

@@ -248,12 +248,15 @@ def _star_values(geometry: _Geometry) -> tuple:
 
 def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBreakdown:
     """Coulomb/hopping split error norm for the extended model on k-regular
-    lattices."""
+    lattices.  k = 1 raises BoundUnsupportedError: on dimers the free-fermion
+    VHH form falls below the exact norm."""
     if params.model != "extended_hubbard":
         raise BoundUnsupportedError("w_so2_extended needs the extended model")
     k = regular_degree(lattice)
     if k is None:
         raise BoundUnsupportedError("extended-model bound needs a k-regular lattice")
+    if k == 1:
+        raise BoundUnsupportedError("extended-model bound has no k = 1 form")
     u, v, tau = params.u, params.v, params.tau
     n = lattice.n_sites
     r1 = _adjacency_schatten1(lattice)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from fthub import trotterbounds
-from fthub.lattice import build_hex_fragment, build_periodic_hex, ring_lattice, single_hexagon
-from fthub.tiling import cover_hex_fragment, cover_periodic_hex
+from fthub.lattice import (LatticeGraph, SiteInfo, _edge_tuple, build_hex_fragment,
+                           build_periodic_hex, check_periodic_dims, hex_site_index,
+                           ring_lattice, single_hexagon)
+from fthub.tiling import (_CATALOG, CoverError, CoverReport, Section, SectionCover, Tile,
+                          check_cover_dims, cover_hex_fragment, cover_periodic_hex)
 from fthub.trotterbounds import ModelParams
 
 # dense N x N references: the package builds no N x N coupling matrix on its
@@ -40,6 +43,97 @@ def section_adjacency(cover, s):
         for i, j in tile.edges:
             mat[i, j] = mat[j, i] = 1
     return mat
+
+
+# loop references of the periodic lattice, its cover and cover validation:
+# the package builds and checks them on integer arrays, and the tests check
+# that the arrays give the same objects and the same violations
+
+
+def loop_build_periodic_hex(l_x, l_y):
+    check_periodic_dims(l_x, l_y)
+    n = 2 * l_x * l_y
+    info = []
+    for m in range(l_y):
+        for l in range(l_x):
+            for c in (0, 1):
+                info.append(SiteInfo(hex_site_index(l, m, c, l_x, l_y), l, m, c, "center"))
+    edges = _edge_tuple((hex_site_index(l, m, 0, l_x, l_y),
+                         hex_site_index(l + dl, m + dm, 1, l_x, l_y))
+                        for m in range(l_y) for l in range(l_x)
+                        for dl, dm in ((0, 0), (-1, 0), (0, -1)))
+    info.sort(key=lambda s: s.index)
+    return LatticeGraph(n, edges, tuple(info), "periodic_hex", (l_x, l_y))
+
+
+def loop_cover_periodic_hex(lattice):
+    if lattice.kind != "periodic_hex":
+        raise CoverError("cover_periodic_hex needs a periodic_hex lattice")
+    check_cover_dims(*lattice.dims)
+    l_x, l_y = lattice.dims
+
+    def s(l, m, c):
+        return hex_site_index(l, m, c, l_x, l_y)
+
+    blue, red, gold = [], [], []
+    for m in range(l_y):
+        for l in range(l_x):
+            if l % 2 == 0:
+                red.append(Tile("S2", (s(l, m, 0), s(l, m, 1), s(l - 1, m, 1))))
+                tile = Tile("S2", (s(l, m, 1), s(l + 1, m, 0), s(l, m + 1, 0)))
+                parity = (l // 2) % 2
+                (blue if m % 2 != parity else gold).append(tile)
+            else:
+                tile = Tile("S2", (s(l, m, 0), s(l, m, 1), s(l, m - 1, 1)))
+                parity = ((l - 1) // 2) % 2
+                (blue if m % 2 == parity else gold).append(tile)
+
+    cover = SectionCover(lattice, (Section("blue", tuple(blue)),
+                                   Section("red", tuple(red)),
+                                   Section("gold", tuple(gold))))
+    report = loop_validate_cover(lattice, cover)
+    if not report.valid:
+        raise CoverError("periodic cover construction failed: "
+                         + "; ".join(report.violations))
+    return cover
+
+
+def loop_validate_cover(lattice, cover):
+    violations = []
+    lattice_edges = set(lattice.edges)
+    seen_edges: dict = {}
+    for sec in cover.sections:
+        used_sites: set = set()
+        for tile in sec.tiles:
+            if tile.kind not in _CATALOG:
+                violations.append(f"unknown tile kind {tile.kind}")
+                continue
+            tmpl = _CATALOG[tile.kind]
+            if len(tile.sites) != tmpl.n_sites:
+                violations.append(f"{tile.kind} tile has {len(tile.sites)} sites")
+                continue
+            if any(i < 0 or i >= lattice.n_sites for i in tile.sites):
+                violations.append(f"tile references missing site: {tile.sites}")
+                continue
+            if len(set(tile.sites)) != len(tile.sites):
+                violations.append(f"tile repeats a site: {tile.sites}")
+            for i, j in tile.edges:
+                if (i, j) not in lattice_edges:
+                    violations.append(f"tile edge ({i},{j}) absent from lattice")
+                seen_edges[(i, j)] = seen_edges.get((i, j), 0) + 1
+            overlap = used_sites & set(tile.sites)
+            if overlap:
+                violations.append(
+                    f"section overlap in {sec.color}: sites {sorted(overlap)}")
+            used_sites.update(tile.sites)
+
+    for e, count in sorted(seen_edges.items()):
+        if count > 1:
+            violations.append(f"duplicate edge {e} covered {count} times")
+    for e in lattice.edges:
+        if e not in seen_edges:
+            violations.append(f"edge {e} not covered")
+    return CoverReport(not violations, violations)
 
 
 def clear_geometry_memos():

@@ -166,6 +166,12 @@ _LATTICES = st.one_of(
 )
 
 
+# a star's centre, site 0, has the highest degree and is seen first
+_LATTICES_OR_STARS = st.one_of(_LATTICES, st.integers(2, 6).map(
+    lambda k: LatticeGraph(k + 1, tuple((0, i) for i in range(1, k + 1)),
+                           _sites(k + 1), "custom")))
+
+
 class TestEdgeList:
     @given(_LATTICES)
     @settings(max_examples=40, deadline=None)
@@ -181,6 +187,16 @@ class TestEdgeList:
         for i in range(lat.n_sites):
             assert lat.neighbors(i) == np.flatnonzero(adj[i]).tolist()
 
+    @given(_LATTICES_OR_STARS)
+    @settings(max_examples=40, deadline=None)
+    def test_degree_histogram_keys_in_first_seen_order(self, lat):
+        counts: dict = {}
+        for d in lat.degrees().tolist():
+            counts[d] = counts.get(d, 0) + 1
+        hist = degree_histogram(lat)
+        assert list(hist.items()) == list(counts.items())
+        assert {type(v) for v in (*hist, *hist.values())} == {int}
+
     @pytest.mark.parametrize("edges", [
         ((1, 2), (0, 1)),            # unsorted
         ((0, 1), (0, 1)),            # duplicated
@@ -193,6 +209,27 @@ class TestEdgeList:
     def test_bad_edge_tuple_rejected(self, edges):
         with pytest.raises(LatticeError):
             LatticeGraph(3, edges, _sites(3), "custom")
+
+    @pytest.mark.parametrize("edges,message", [
+        (((0, 1), (1, 5), (2, 7)), "edge (1, 5) needs integers 0 <= i < j < 3"),
+        (((1, 2), (0, 1), (0, 0)), "edge (0, 0) needs integers 0 <= i < j < 3"),
+        (((0, 1), (1, 2.0)), "edge (1, 2.0) needs integers 0 <= i < j < 3"),
+        (((0, 1), ("1", "2")), "edge (1, 2) needs integers 0 <= i < j < 3"),
+        (((0, 1), (1, (2,))), "edge (1, (2,)) needs integers 0 <= i < j < 3"),
+        (((1, 2), (0, 1)), "edges must be sorted and distinct"),
+        (((0, 2), (0, 2)), "edges must be sorted and distinct"),
+    ])
+    def test_edge_check_names_the_first_bad_edge(self, edges, message):
+        with pytest.raises(LatticeError) as err:
+            LatticeGraph(3, edges, _sites(3), "custom")
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edges", [(), ((False, True),),
+                                       ((np.int64(0), np.uint8(2)),),
+                                       ((np.uint64(1), np.uint64(2)),)])
+    def test_edge_check_accepts_integer_pairs(self, edges):
+        lattice = LatticeGraph(3, edges, _sites(3), "custom")
+        assert lattice.edge_codes.tolist() == [3 * i + j for i, j in edges]
 
     def test_periodic_commands_build_no_dense_matrix(self, monkeypatch, tmp_path):
         # at L = 20 (800 sites) every periodic command works from the edges

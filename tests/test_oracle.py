@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -596,6 +597,11 @@ class TestParityBases:
         assert len(whole) == 1
         assert whole[0][0].shape == (1, np.sum(labels == refused))
         params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
+        # k = 1 has no shipped bound; only the exact norms are compared
+        monkeypatch.setattr(oracle, "w_so2_extended", lambda lattice, params:
+                            SimpleNamespace(components=dict.fromkeys(
+                                ("comm_CHC_bound", "comm_IHH_bound",
+                                 "comm_VHH_bound"), math.inf)))
         got = verify_commutator_bounds(lattice, params)
         plain = TestSectorSymmetries.plain(monkeypatch,
                                            verify_commutator_bounds,

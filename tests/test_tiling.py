@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
-                           build_square_fragment)
+from conftest import (PARALLELOGRAM_CELLS, loop_build_periodic_hex,
+                      loop_cover_periodic_hex, loop_validate_cover)
+from fthub.lattice import (LatticeGraph, SiteInfo, build_hex_fragment,
+                           build_periodic_hex, build_square_fragment,
+                           lattice_to_json, single_hexagon)
 from fthub.tiling import (CoverError, Section, SectionCover, Tile, chain_rotation,
                           cover_from_json, cover_hex_fragment, cover_periodic_hex,
                           cover_tile_census, cover_to_json, tile_catalog,
@@ -236,3 +241,154 @@ class TestJson:
         back = cover_from_json(text, hex44)
         assert back.sections == cover44.sections
         assert validate_cover(hex44, back).valid
+
+
+class TestArrayBuilders:
+    """The array builders give the loop builders' lattice and cover."""
+
+    @staticmethod
+    def assert_same(l_x, l_y):
+        lattice, reference = build_periodic_hex(l_x, l_y), loop_build_periodic_hex(l_x, l_y)
+        assert lattice.edges == reference.edges
+        assert lattice.site_info == reference.site_info
+        assert lattice_to_json(lattice) == lattice_to_json(reference)
+        assert {type(i) for edge in lattice.edges for i in edge} == {int}
+        cover, expected = cover_periodic_hex(lattice), loop_cover_periodic_hex(reference)
+        assert cover.sections == expected.sections
+        assert cover_to_json(cover) == cover_to_json(expected)
+        assert {type(i) for sec in cover.sections for tile in sec.tiles
+                for i in tile.sites} == {int}
+
+    @pytest.mark.parametrize("l_x", range(2, 25, 2))
+    def test_even_dims(self, l_x):
+        for l_y in range(2, 25, 2):
+            self.assert_same(l_x, l_y)
+
+    def test_l64(self):
+        self.assert_same(64, 64)
+
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 3), (5, 4), (4, 7), (5, 5)])
+    def test_odd_dims(self, dims):
+        lattice, reference = build_periodic_hex(*dims), loop_build_periodic_hex(*dims)
+        assert lattice.edges == reference.edges
+        assert lattice.site_info == reference.site_info
+        with pytest.raises(CoverError) as got:
+            cover_periodic_hex(lattice)
+        with pytest.raises(CoverError) as want:
+            loop_cover_periodic_hex(reference)
+        assert str(got.value) == str(want.value)
+
+
+def _star(leaves):
+    info = tuple(SiteInfo(i, i, 0, int(i > 0), "edge") for i in range(leaves + 1))
+    return LatticeGraph(leaves + 1, tuple((0, i) for i in range(1, leaves + 1)),
+                        info, "custom")
+
+
+def _square_section():
+    # plaquettes and single bonds on the 6 x 6 square fragment
+    def s(x, y):
+        return x + 6 * y
+
+    tiles = [Tile("C4", (s(x, y), s(x + 1, y + 1), s(x + 1, y), s(x, y + 1)))
+             for x, y in [(0, 0), (3, 3)]]
+    tiles += [Tile("S1", (s(x, y), s(x + 1, y))) for x, y in
+              [(3, 0), (2, 1), (4, 1), (0, 2), (1, 3), (0, 4), (2, 5), (4, 5)]]
+    lattice = build_square_fragment(6, 6)
+    return lattice, SectionCover(lattice, (Section("red", tuple(tiles)),))
+
+
+def _base_covers():
+    covers = []
+    for dims in [(2, 2), (4, 4), (6, 4)]:
+        lattice = build_periodic_hex(*dims)
+        covers.append((lattice, cover_periodic_hex(lattice)))
+    for lattice in [single_hexagon(), build_hex_fragment(PARALLELOGRAM_CELLS),
+                    build_square_fragment(4, 4), _star(6)]:
+        covers.append((lattice, cover_hex_fragment(lattice)))
+    star = _star(4)
+    covers.append((star, SectionCover(star, (Section("blue", (
+        Tile("S4", (0, 1, 2, 3, 4)),)),))))
+    covers.append(_square_section())
+    return covers
+
+
+_BASE_COVERS = _base_covers()
+
+
+def _mutate(data, lattice, sections):
+    """Apply one drawn mutation to ``sections``, a list of [color, tiles]
+    with each tile a [kind, sites] list."""
+    n = lattice.n_sites
+    placed = [(s, t) for s, (_, tiles) in enumerate(sections)
+              for t in range(len(tiles))]
+    op = data.draw(st.sampled_from(
+        ["drop", "duplicate", "move", "out_of_range", "repeat", "any_site",
+         "unknown_kind", "other_kind", "add_site", "drop_site"]))
+    if not placed:
+        return
+    s, t = data.draw(st.sampled_from(placed))
+    tile = sections[s][1][t]
+    if op in ("drop", "move"):
+        del sections[s][1][t]
+    if op in ("duplicate", "move"):
+        dest = data.draw(st.integers(0, len(sections) - 1))
+        at = data.draw(st.integers(0, len(sections[dest][1])))
+        sections[dest][1].insert(at, [tile[0], list(tile[1])])
+    if not tile[1]:
+        op = "add_site"
+    else:
+        a = data.draw(st.integers(0, len(tile[1]) - 1))
+    if op == "out_of_range":
+        tile[1][a] = data.draw(st.sampled_from([-1, -7, n, n + 5]))
+    elif op == "repeat" and len(tile[1]) > 1:
+        b = data.draw(st.integers(0, len(tile[1]) - 1).filter(lambda b: b != a))
+        tile[1][a] = tile[1][b]
+    elif op == "any_site":
+        tile[1][a] = data.draw(st.integers(0, n - 1))
+    elif op == "unknown_kind":
+        tile[0] = data.draw(st.sampled_from(["S3", "X", ""]))
+    elif op == "other_kind":
+        tile[0] = data.draw(st.sampled_from(["S1", "S2", "C4", "S4"]))
+    elif op == "add_site":
+        tile[1].append(data.draw(st.integers(0, n - 1)))
+    elif op == "drop_site":
+        del tile[1][a]
+
+
+class TestValidateAgainstLoop:
+    """The array ``validate_cover`` gives the loop check's flag and
+    violations, in order, on mutated periodic, fragment and manual covers."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_covers(self, data):
+        lattice, cover = data.draw(st.sampled_from(_BASE_COVERS))
+        sections = [[sec.color, [[t.kind, list(t.sites)] for t in sec.tiles]]
+                    for sec in cover.sections]
+        for _ in range(data.draw(st.integers(1, 4))):
+            _mutate(data, lattice, sections)
+        mutated = SectionCover(lattice, tuple(
+            Section(color, tuple(Tile(kind, tuple(sites)) for kind, sites in tiles))
+            for color, tiles in sections))
+        got, want = validate_cover(lattice, mutated), loop_validate_cover(lattice, mutated)
+        assert (got.valid, got.violations) == (want.valid, want.violations)
+
+    @pytest.mark.parametrize("lattice,cover", _BASE_COVERS)
+    def test_base_covers(self, lattice, cover):
+        got, want = validate_cover(lattice, cover), loop_validate_cover(lattice, cover)
+        assert (got.valid, got.violations) == (want.valid, want.violations)
+
+    def test_absent_edge_covered_twice(self, hexagon, hexagon_cover):
+        # every lattice edge is still covered once; only the extra tiles fail
+        phantom = Section("extra", (Tile("S1", (0, 2)),))
+        cover = SectionCover(hexagon, hexagon_cover.sections + (phantom, phantom))
+        got, want = validate_cover(hexagon, cover), loop_validate_cover(hexagon, cover)
+        assert (got.valid, got.violations) == (want.valid, want.violations)
+        assert got.violations[-1] == "duplicate edge (0, 2) covered 2 times"
+
+    @pytest.mark.parametrize("site", [1.0, "1", True, None, [1]])
+    def test_non_integer_site_is_missing(self, hexagon, site):
+        cover = SectionCover(hexagon, (Section("blue", (Tile("S1", (0, site)),)),))
+        report = validate_cover(hexagon, cover)
+        assert report.violations[0] == f"tile references missing site: {(0, site)}"

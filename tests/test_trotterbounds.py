@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import clear_geometry_memos, section_adjacency, star_matrix
-from fthub import cli, freefermion, trotterbounds
+from conftest import (clear_geometry_memos, loop_build_periodic_hex,
+                      loop_cover_periodic_hex, section_adjacency, star_matrix)
+from fthub import cli, freefermion, oracle, trotterbounds
 from fthub.freefermion import schatten1, translation_blocks, translation_periods
-from fthub.lattice import build_periodic_hex, hex_site_index
+from fthub.lattice import LatticeGraph, SiteInfo, build_periodic_hex, hex_site_index
 from fthub.tiling import (Section, SectionCover, Tile, cover_from_json,
                           cover_hex_fragment, cover_periodic_hex, cover_to_json,
                           validate_cover)
@@ -174,6 +175,21 @@ class TestWso2Extended:
     def test_rejects_irregular(self, parallelogram, extended_params):
         with pytest.raises(BoundUnsupportedError):
             w_so2_extended(parallelogram, extended_params)
+
+    @pytest.mark.parametrize("edges", [((0, 1),), ((0, 1), (2, 3))],
+                             ids=["two_site_chain", "two_dimers"])
+    def test_rejects_k1(self, edges):
+        # the free-fermion VHH form gave 4.0 on the two-site chain at
+        # U = 2, V = 1, tau = 1, below the exact norm 8.0, so the oracle
+        # check that calls this bound refuses k = 1 as well
+        n = 2 * len(edges)
+        lattice = LatticeGraph(n, edges, tuple(SiteInfo(i, i, 0, 0, "edge")
+                                               for i in range(n)), "custom")
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
+        with pytest.raises(BoundUnsupportedError, match="k = 1"):
+            w_so2_extended(lattice, params)
+        with pytest.raises(BoundUnsupportedError, match="k = 1"):
+            oracle.verify_commutator_bounds(lattice, params)
 
 
 class TestWh:
@@ -432,6 +448,20 @@ class TestGeometryMemo:
         assert first is not second
         values = [w_tile(lat, cover_periodic_hex(lat), extended_params)
                   for lat in (first, second)]
+        assert values[0].components == values[1].components
+        for memo in MEMOS:
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("l", [8, 10])
+    def test_loop_built_lattice_shares_an_entry(self, cold_geometry_memo, l,
+                                                extended_params):
+        # the array builders key the memo exactly as the loop builders do
+        lattice = build_periodic_hex(l, l)
+        reference = loop_build_periodic_hex(l, l)
+        values = [w_tile(lattice, cover_periodic_hex(lattice), extended_params),
+                  w_tile(reference, loop_cover_periodic_hex(reference),
+                         extended_params)]
         assert values[0].components == values[1].components
         for memo in MEMOS:
             info = memo.cache_info()
