@@ -14,20 +14,32 @@ Coulomb diagonals, with no Pauli product.
 cap before any block is built and drops the mirror sectors of each symmetry
 orbit; ``exact_spectral_norm`` solves every sector.  The lattice checks get
 their operators and blocks from ``_spin_sectors``.  Spin flip (qubits 2i and
-2i + 1 swapped, (a, b) -> (b, a)) and, on a 2-colourable lattice,
-particle-hole (every qubit flipped, (a, b) -> (N - a, N - b)) act on basis
-states as signed permutations |m> -> eps(m) |pi(m)>.  A map is used only if
-``_commutes`` accepts it on every compiled operator and every Coulomb
-diagonal is exactly equal under it; no block is built to check a map.
+2i + 1 swapped, (a, b) -> (b, a)), particle-hole on a 2-colourable lattice
+(every qubit flipped, (a, b) -> (N - a, N - b)) and the rotations of a
+cycle, taken in its cycle order, act on basis states as signed
+permutations |m> -> eps(m) |pi(m)>; spin flip and the rotations are site
+permutations lifted with their Jordan-Wigner sign (``_lift``).  A map is
+used only if ``_commutes`` accepts it on every compiled operator and every
+Coulomb diagonal is exactly equal under it; no block is built to check a
+map.  The commutator checks keep the shift by 1 on ring4, ring6 and the
+hexagon (cycle 0-1-2-5-4-3); the hexagon's Trotter step keeps only the
+shift by 2, since its two sections are alternate edges of the cycle.
 
-A kept sector that maps carry onto itself, (a, a), (N/2, N/2) or
-a + b = N, is solved as parity blocks (``_parity_bases``, after Sandvik,
-arXiv:1101.3281): one symmetry-adapted basis per character of its
-stabiliser, once that is checked to be a group of signed involutions on
-the sector.  The Coulomb diagonals are constant on each orbit, so every
-check runs on the parity blocks unchanged.  On the 12-qubit hexagon the 16
-kept sectors are 23 blocks (largest 300 states, summed n^3 4.0e7 against
-1.17e8), and ``run_suite("full")`` builds 683 blocks.
+Each kept sector is solved as one block per character of its stabiliser
+(``_adapted_bases``, after Sandvik, arXiv:1101.3281), the abelian group
+that the maps fixing it generate, closed up to a constant sign on the
+sector; without rotations these are the real parity blocks of spin flip and
+particle-hole.  Rotation characters are complex momentum phases.  When
+every operator is real, as the shipped ones are, the block of conj(chi) is
+the conjugate of chi's, with the same spectrum and, the step being
+symmetric, the same step error: one block of each pair is solved.  A stabiliser that does not
+generate such a group falls back to its parity maps, then to the whole
+sector.  The Coulomb diagonals are constant on each orbit, so every check
+runs on the blocks unchanged.  On the 12-qubit hexagon the 16 kept sectors
+are 44 blocks for the Trotter step (largest 100 states, summed n^3 3.0e6
+against 4.0e7 with parity blocks alone and 1.17e8 whole) and 86 for the
+commutator checks (largest 50, summed n^3 7.5e5); ``run_suite("full")``
+builds 2,096 blocks.
 """
 
 from __future__ import annotations
@@ -199,29 +211,71 @@ def _two_colouring(lattice: LatticeGraph) -> np.ndarray | None:
     return colour
 
 
-def _symmetry_maps(lattice: LatticeGraph) -> list:
-    """(pi, eps) of each non-trivial element of the group generated by spin
-    flip and, on a 2-colourable lattice, particle-hole: the element maps
-    basis state m to eps[m] |pi[m]>.  Signs that depend only on the sector
-    are left out; they do not change a block's spectrum.
-
-    Spin flip swaps qubits 2i and 2i + 1, with eps = (-1)^(sum_i n_iup
-    n_idown) from reordering each doubly occupied site.  Particle-hole flips
-    every qubit, with eps = (-1)^(electrons on colour-1 sites), the
-    staggered sign that keeps the hopping term.  The third element is their
-    product."""
-    n_qubits = 2 * lattice.n_sites
+def _lift(modes: np.ndarray) -> tuple:
+    """(pi, eps) of the mode permutation p -> modes[p] on basis states:
+    pi(m) moves each occupied mode p to modes[p], and eps(m) is the
+    Jordan-Wigner sign of reordering the moved creation operators, (-1)^(the
+    occupied pairs p < q with modes[p] > modes[q]).  The lift is a
+    representation: the lift of a product is the product of the lifts."""
+    n_qubits = len(modes)
     idx = np.arange(1 << n_qubits)
-    up = sum(1 << orbital(i, 0) for i in range(lattice.n_sites))
-    flip = ((idx & up) << 1) | ((idx >> 1) & up)
-    flip_sign = 1.0 - 2.0 * _PARITY16[idx & (idx >> 1) & up]
+    perm = np.zeros_like(idx)
+    odd = np.zeros_like(idx)
+    for p, target in enumerate(modes):
+        bit = (idx >> p) & 1
+        perm |= bit << target
+        passed = sum(1 << q for q in range(p + 1, n_qubits)
+                     if modes[q] < target)
+        odd ^= bit & _PARITY16[idx & passed]
+    return perm, 1.0 - 2.0 * odd
+
+
+def _cycle_order(lattice: LatticeGraph) -> list | None:
+    """The sites of a connected 2-regular lattice in cycle order, from site
+    0 towards its smaller neighbour; None for any other lattice."""
+    if regular_degree(lattice) != 2:
+        return None
+    order = [0, min(lattice.neighbors(0))]
+    while len(order) < lattice.n_sites:
+        nxt = next(j for j in lattice.neighbors(order[-1]) if j != order[-2])
+        if nxt == 0:            # back at the start: more than one cycle
+            return None
+        order.append(nxt)
+    return order
+
+
+def _symmetry_maps(lattice: LatticeGraph) -> list:
+    """(pi, eps) of each candidate symmetry, a map of basis state m to
+    eps[m] |pi[m]>: the non-trivial elements of the group generated by spin
+    flip and, on a 2-colourable lattice, particle-hole; then, on a cycle
+    (``_cycle_order``), the rotation by each proper divisor d of its length,
+    ascending.  Signs that depend only on the sector are left out; they do
+    not change a block's spectrum.
+
+    Spin flip swaps qubits 2i and 2i + 1 and each rotation moves site i's
+    orbitals to its image; both are site permutations lifted by ``_lift``,
+    spin flip with eps = (-1)^(sum_i n_iup n_idown).  Particle-hole flips
+    every qubit, with eps = (-1)^(electrons on colour-1 sites), the
+    staggered sign that keeps the hopping term; the third element is its
+    product with spin flip."""
+    n = lattice.n_sites
+    spins = np.arange(2 * n) & 1
+    flip, flip_sign = _lift(np.arange(2 * n) ^ 1)
     maps = [(flip, flip_sign)]
     colour = _two_colouring(lattice)
     if colour is not None:
+        idx = np.arange(flip.size)
         odd = sum(3 << orbital(i, 0) for i in np.flatnonzero(colour))
         hole = idx ^ (idx.size - 1)
         hole_sign = 1.0 - 2.0 * _PARITY16[idx & odd]
         maps += [(hole, hole_sign), (flip[hole], hole_sign * flip_sign[hole])]
+    cycle = _cycle_order(lattice)
+    if cycle is not None:
+        for d in range(1, n):
+            if n % d == 0:
+                site = np.empty(n, dtype=int)
+                site[cycle] = np.roll(cycle, -d)
+                maps.append(_lift(2 * site.repeat(2) + spins))
     return maps
 
 
@@ -289,71 +343,119 @@ def _plain(members: np.ndarray) -> tuple:
     return members[None], np.ones((1, members.size))
 
 
-def _parity_bases(members: np.ndarray, stab: list) -> list:
-    """Symmetry-adapted bases of sector ``members`` under the signed maps
-    ``stab`` that fix it, one per character chi of the group G they form
-    with the identity: column r is the normalised sum_g chi(g) eps_g(r)
-    |pi_g(r)>, one (state, coefficient) slot per g, from the smallest state
-    r of each orbit; vanishing columns and bases are dropped.  The plain
-    basis when, on ``members``, G is not closed (signs included) or an
-    element does not square to the identity: then G is not abelian of order
-    2^k with the sign characters chi(g) chi(h) = chi(gh)."""
-    if not stab:
-        return [_plain(members)]
-    group = [(np.arange(stab[0][0].size), np.ones(stab[0][0].size))] + stab
-    table = []
-    for pi, si in group:
-        row = []
-        for pj, sj in group:
-            perm, sign = pi[pj[members]], sj[members] * si[pj[members]]
-            row.append(next((k for k, (pk, sk) in enumerate(group)
-                             if np.array_equal(pk[members], perm)
-                             and np.array_equal(sk[members], sign)), None))
-        table.append(row)
-    if (any(k is None for row in table for k in row)
-            or any(table[i][i] for i in range(len(group)))):
-        return [_plain(members)]
-    rep = np.minimum.reduce([p[members] for p, _ in group])
-    reps = members[rep == members]
-    states = np.array([p[reps] for p, _ in group])
-    eps = np.array([s[reps] for _, s in group])
-    fixed = states == reps
-    bases = []
-    for chi in itertools.product((1.0, -1.0), repeat=len(stab)):
-        chi = np.array((1.0,) + chi)
-        if any(chi[i] * chi[j] != chi[table[i][j]]
-               for i in range(len(group)) for j in range(len(group))):
+def _turns(den: int) -> np.ndarray:
+    """exp(2 pi i k / den) for k < den, exact where it is +-1 or +-i."""
+    k = np.arange(den)
+    out = np.exp(2j * np.pi * k / den)
+    quarter = 4 * k % den == 0
+    out[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // den]
+    return out
+
+
+def _adapted_bases(members: np.ndarray, stab: list, halve: bool):
+    """Symmetry-adapted bases of sector ``members`` (ascending; after
+    Sandvik, arXiv:1101.3281) under the abelian group A that the signed maps ``stab``
+    fixing it generate, one per character chi of A: column r is the
+    normalised sum_a conj(chi(a)) eps_a(r) |pi_a(r)>, one (state,
+    coefficient) slot per a, from the smallest state r of each orbit;
+    vanishing columns and bases are dropped.
+
+    A map that is already an element of A up to sign on ``members`` is
+    skipped.  Any other map is a generator g whose order o is that of its
+    permutation there, with g^o a constant sign c: its eigenvalues are the o
+    roots of c, and the characters of A are the products of those.  With
+    ``halve``, one character of each conjugate pair {chi, conj(chi)} is
+    kept: for a real operator the block of conj(chi) is the entrywise
+    conjugate of chi's, with the same spectrum.  Characters that are real
+    give real coefficients.  None when some g^o is not a constant sign or
+    two generators do not commute on ``members``, signs included: then the
+    maps do not generate such a group."""
+    ones = np.ones(members.size)
+    # every element of A so far, on members: images, signs and exponents
+    elems, expo = [(members, ones)], [()]
+    gens, orders, phases = [], [], []
+    for perm, sign in stab:
+        p, s = perm[members], sign[members]
+        if any(np.array_equal(p, q) and abs(s @ t) == members.size
+               for q, t in elems):
             continue
-        raw = chi[:, None] * eps
-        # sum_g chi(g) eps_g(r) over the g that fix r: |Stab(r)| or 0
-        stays = (raw * fixed).sum(axis=0)
-        keep = stays > 0
+        powers = [(members, ones)]
+        while True:
+            q, t = powers[-1]
+            q, t = perm[q], t * sign[q]
+            if np.array_equal(q, members):
+                break
+            powers.append((q, t))
+        if t.min() != t.max() or not all(
+                np.array_equal(perm[gp[members]], gp[p])
+                and np.array_equal(gs[members] * sign[gp[members]], s * gs[p])
+                for gp, gs in gens):
+            return None
+        gens.append((perm, sign))
+        orders.append(len(powers))
+        phases.append(0 if t[0] > 0 else 1)
+        grown, grown_expo = [], []
+        for (q, t), e in zip(elems, expo):
+            at = np.searchsorted(members, q)
+            for k, (pq, pt) in enumerate(powers):
+                grown.append((pq[at], t * pt[at]))
+                grown_expo.append(e + (k,))
+        elems, expo = grown, grown_expo
+    if not gens:
+        return [_plain(members)]
+    rep = np.minimum.reduce([q for q, _ in elems])
+    at = rep == members
+    states = np.array([q[at] for q, _ in elems])
+    eps = np.array([t[at] for _, t in elems])
+    fixed = states == states[0]
+    orders, phases = np.array(orders), np.array(phases)
+    chars = np.array(list(itertools.product(*map(range, orders))))
+    if halve:
+        # the lesser index of each pair {j, jbar}, conj(chi_j) = chi_jbar
+        bar = (-phases - chars) % orders
+        chars = chars[[tuple(j) <= tuple(b) for j, b in zip(chars, bar)]]
+    # chi_j(a) = exp(2 pi i angle / den) with an integer angle
+    den = 2 * math.lcm(*orders)
+    chi = _turns(den)[np.array(expo) @ ((phases + 2 * chars)
+                                        * (den // (2 * orders))).T % den]
+    raw = (chi.conj() if chi.imag.any() else chi.real).T[:, :, None] * eps
+    # sum of conj(chi(a)) eps_a(r) over the a that fix r: their number, or 0
+    stays = np.rint((raw * fixed).sum(axis=1).real)
+    bases = []
+    for coefs, norm in zip(raw, stays):
+        keep = norm > 0
         if keep.any():
-            bases.append((states[:, keep], raw[:, keep] / np.sqrt(
-                len(group) * stays[keep])))
+            coefs = coefs[:, keep] / np.sqrt(len(elems) * norm[keep])
+            bases.append((states[:, keep],
+                          coefs if coefs.imag.any() else coefs.real))
     return bases
 
 
 def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
-    """Dense Q^T (sum_x X^x diag(d_x)) Q on the orthonormal columns Q of
-    ``basis`` (``_plain`` or ``_parity_bases``) in a ``dim``-state space,
-    real when its imaginary part is exactly zero; one scatter per X mask and
-    orbit slot.  Entries leading out of the basis are dropped; callers make
-    sure there are none."""
+    """Dense Q^H (sum_x X^x diag(d_x)) Q on the orthonormal columns Q of
+    ``basis`` (``_plain`` or ``_adapted_bases``) in a ``dim``-state space,
+    real when its imaginary part is exactly zero; one scatter per X mask
+    over every slot.  Entries leading out of the basis are dropped; callers
+    make sure there are none."""
     states, coefs = basis
-    cols = np.arange(states.shape[1])
+    size = states.shape[1]
+    cols = np.broadcast_to(np.arange(size), states.shape).ravel()
+    states, coefs = states.ravel(), coefs.ravel()
     row = np.full(dim, -1)
-    q = np.zeros(dim)
-    for s, c in zip(states, coefs):
-        row[s] = cols
-        q[s] += c
-    block = np.zeros((cols.size, cols.size),
-                     dtype=np.result_type(np.float64, *groups.values()))
-    for s, c in zip(states, coefs):
-        for x, d in groups.items():
-            rows = row[s ^ x]
-            keep = rows >= 0
-            block[rows[keep], cols[keep]] += (q[s ^ x] * c * d[s])[keep]
+    row[states] = cols
+    q = np.zeros(dim, dtype=coefs.dtype)
+    np.add.at(q, states, coefs)
+    # one row per X mask
+    image = states ^ np.fromiter(groups, dtype=states.dtype,
+                                 count=len(groups))[:, None]
+    rows = row[image]
+    keep = rows >= 0
+    vals = q[image].conj() * coefs * np.array(
+        [d[states] for d in groups.values()]).reshape(image.shape)
+    block = np.zeros((size, size), dtype=vals.dtype)
+    # a state may fill several slots of one column: add.at sums them
+    np.add.at(block, (rows[keep], np.broadcast_to(cols, rows.shape)[keep]),
+              vals[keep])
     if np.iscomplexobj(block) and not block.imag.any():
         return block.real
     return block
@@ -362,10 +464,13 @@ def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
 def _spin_sectors(lattice: LatticeGraph, named_ops: list,
                   diags: list) -> tuple:
     """Compiled (name, op) ``named_ops`` and the bases of the blocks to
-    solve: the ``_parity_bases`` of each ``_sector_sets`` sector under the
+    solve: the ``_adapted_bases`` of each ``_sector_sets`` sector under the
     lattice's symmetry maps that commute with every operator and leave every
-    Z diagonal of ``diags`` unchanged.  ValueError when an operator leaks
-    out of the spin sectors."""
+    Z diagonal of ``diags`` unchanged, one of each conjugate pair when every
+    operator is real.  Where a sector's stabiliser does not generate an
+    abelian group, its maps that move other sectors (spin flip,
+    particle-hole) are tried without the rotations, and then none.
+    ValueError when an operator leaks out of the spin sectors."""
     labels = _spin_labels(2 * lattice.n_sites)
     groups = []
     for name, op in named_ops:
@@ -378,11 +483,20 @@ def _spin_sectors(lattice: LatticeGraph, named_ops: list,
     maps = [(perm, sign) for perm, sign in _symmetry_maps(lattice)
             if all(_commutes(g, perm, sign) for g in groups)
             and all(np.array_equal(d[perm], d) for d in diags)]
+    moves = [not np.array_equal(labels[perm], labels) for perm, _ in maps]
+    real = all(np.isrealobj(d) for g in groups for d in g.values())
     bases = []
     for members in _sector_sets(labels, maps):
         label = labels[members[0]]
-        stab = [(p, s) for p, s in maps if labels[p[members[0]]] == label]
-        bases += _parity_bases(members, stab)
+        stab = [(m, mv) for m, mv in zip(maps, moves)
+                if labels[m[0][members[0]]] == label]
+        for group in ([m for m, _ in stab], [m for m, mv in stab if mv]):
+            found = _adapted_bases(members, group, real)
+            if found is not None:
+                break
+        else:
+            found = [_plain(members)]
+        bases += found
     return groups, bases
 
 
@@ -519,9 +633,9 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
     is taken on the sector blocks h of H: [[C, H], C] elementwise as
     -(c_i - c_j)^2 h_ij, and [[D, H], H] for D = I, V as [X, h] with the
     anti-Hermitian X_ij = (d_i - d_j) h_ij, in one block product.  No Pauli
-    product is formed.  One sector per symmetry orbit is solved, as parity
-    blocks where a map fixes it (``_spin_sectors``); the diagonals are equal
-    over each orbit, so they are read at its first state.
+    product is formed.  One sector per symmetry orbit is solved, as the
+    character blocks of its stabiliser (``_spin_sectors``); the diagonals
+    are equal over each orbit, so they are read at its first state.
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
@@ -557,6 +671,34 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
 # Trotter step inequality
 
 
+def _step_errors(groups: list, basis: tuple, dim: int, c_diag: np.ndarray,
+                 t_list) -> list:
+    """Largest singular value of exp(-i H t) minus the step on the block of
+    ``basis``, for each t: ``groups`` holds the compiled H and then the
+    sections, and ``c_diag`` is the Coulomb diagonal of the outer half
+    steps."""
+    (vals, vecs), *sec = [np.linalg.eigh(_block(g, basis, dim))
+                          for g in groups]
+    cd = c_diag[basis[0][0]]
+    # the last section's two half steps meet: it takes one full step
+    steps = [0.5] * (len(sec) - 1) + [1.0] + [0.5] * (len(sec) - 1)
+    errs = []
+    for t in t_list:
+        if t == 0:
+            errs.append(0.0)
+            continue
+        u_exact = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+        u_step = np.diag(np.exp(-1j * cd * t / 2.0)).astype(complex)
+        # each section step is formed where it is applied: one is live
+        for (sl, sv), f in zip(sec[:-1] + sec[::-1], steps):
+            u_step = (sv * np.exp(-1j * sl * t * f)) @ sv.conj().T @ u_step
+        # in place, so no third unitary is live at the SVD
+        np.multiply(np.exp(-1j * cd * t / 2.0)[:, None], u_step, out=u_step)
+        u_exact -= u_step
+        errs.append(float(np.linalg.svd(u_exact, compute_uv=False)[0]))
+    return errs
+
+
 def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
                         params: ModelParams, t_list,
                         breakdown: TrotterErrorBreakdown) -> list:
@@ -566,9 +708,9 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     Every factor conserves both spin-sector electron numbers (checked on the
     compiled operators), so the unitary difference is evaluated exactly as
     the largest per-block singular value over those invariant subspaces,
-    one sector per symmetry orbit, as parity blocks where a map fixes it
-    (``_spin_sectors``).  The two half steps of the last section meet and
-    are applied as one full step.
+    one sector per symmetry orbit, as the character blocks of its
+    stabiliser (``_spin_sectors``).  The two half steps of the last section
+    meet and are applied as one full step.
     """
     n_qubits = 2 * lattice.n_sites
     coulomb = jw_onsite(lattice, params.u)
@@ -582,25 +724,8 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
 
     errs = [0.0] * len(t_list)
     for basis in bases:
-        (vals, vecs), *sec = [np.linalg.eigh(_block(g, basis, 1 << n_qubits))
-                              for g in groups]
-        cd = c_diag[basis[0][0]]
-        # the last section's two half steps meet: it takes one full step
-        steps = [0.5] * (len(sec) - 1) + [1.0] + [0.5] * (len(sec) - 1)
-        for k, t in enumerate(t_list):
-            if t == 0:
-                continue
-            u_exact = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-            u_step = np.diag(np.exp(-1j * cd * t / 2.0)).astype(complex)
-            # each section step is formed where it is applied: one is live
-            for (sl, sv), f in zip(sec[:-1] + sec[::-1], steps):
-                u_step = (sv * np.exp(-1j * sl * t * f)) @ sv.conj().T @ u_step
-            # in place, so no third unitary is live at the SVD
-            np.multiply(np.exp(-1j * cd * t / 2.0)[:, None], u_step,
-                        out=u_step)
-            u_exact -= u_step
-            sv_max = np.linalg.svd(u_exact, compute_uv=False)[0]
-            errs[k] = max(errs[k], float(sv_max))
+        errs = list(map(max, errs, _step_errors(groups, basis, 1 << n_qubits,
+                                                c_diag, t_list)))
 
     w = breakdown.w_tile
     reports = []

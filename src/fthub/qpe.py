@@ -75,13 +75,23 @@ def optimize_x(step: StepCost, w: float, eps: float) -> float:
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    for _ in range(60):
-        if _trotter_total_t(step, w, eps, c)[0] < _trotter_total_t(step, w, eps, d)[0]:
-            b, d = d, c
+    fc = _trotter_total_t(step, w, eps, c)[0]
+    fd = _trotter_total_t(step, w, eps, d)[0]
+    # 60 narrowings; each keeps one interior point and its value, and the
+    # last one's new point is never compared, so it is not evaluated
+    for _ in range(59):
+        if fc < fd:
+            b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
+            fc = _trotter_total_t(step, w, eps, c)[0]
         else:
-            a, c = c, d
+            a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
+            fd = _trotter_total_t(step, w, eps, d)[0]
+    if fc < fd:
+        b = d
+    else:
+        a = c
     return 0.5 * (a + b)
 
 

@@ -402,9 +402,23 @@ def cover_to_json(cover: SectionCover) -> str:
 
 
 def cover_from_json(text: str, lattice: LatticeGraph) -> SectionCover:
+    """The cover of a ``cover_to_json`` document.  CoverError names the
+    first field of the wrong shape; what the tiles hold (kind names, site
+    indices) is left to ``validate_cover``."""
     doc = json.loads(text)
-    sections = tuple(
-        Section(s["color"], tuple(Tile(t["kind"], tuple(t["sites"]))
-                                  for t in s["tiles"]))
-        for s in doc["sections"])
-    return SectionCover(lattice, sections)
+
+    def field_of(obj, key, kind, where):
+        if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
+            raise CoverError(f"cover document: {where}{key} must be a "
+                             f"{'list' if kind is list else 'string'}")
+        return obj[key]
+
+    sections = []
+    for s, sec in enumerate(field_of(doc, "sections", list, "")):
+        where = f"sections[{s}]."
+        tiles = tuple(
+            Tile(field_of(t, "kind", str, f"{where}tiles[{k}]."),
+                 tuple(field_of(t, "sites", list, f"{where}tiles[{k}].")))
+            for k, t in enumerate(field_of(sec, "tiles", list, where)))
+        sections.append(Section(field_of(sec, "color", str, where), tiles))
+    return SectionCover(lattice, tuple(sections))

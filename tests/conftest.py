@@ -197,6 +197,11 @@ def ring4():
 
 
 @pytest.fixture(scope="session")
+def ring5():
+    return ring_lattice(5)
+
+
+@pytest.fixture(scope="session")
 def ring6():
     return ring_lattice(6)
 

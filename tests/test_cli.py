@@ -152,6 +152,37 @@ class TestSmallCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("case,message", [
+        ("sites", "sections[0].tiles[0].sites must be a list"),
+        ("kind", "sections[1].tiles[2].kind must be a string"),
+        ("color", "sections[1].color must be a string"),
+        ("top-level list", "sections must be a list"),
+        ("sections", "sections must be a list"),
+    ])
+    def test_malformed_cover_document_exit_2(self, capsys, tmp_path,
+                                             hexagon_cover, case, message):
+        from fthub.tiling import cover_to_json
+        doc = json.loads(cover_to_json(hexagon_cover))
+        if case == "sites":
+            doc["sections"][0]["tiles"][0]["sites"] = 5
+        elif case == "kind":
+            doc["sections"][1]["tiles"][2]["kind"] = ["S1"]
+        elif case == "color":
+            del doc["sections"][1]["color"]
+        elif case == "sections":
+            doc["sections"] = 3
+        else:
+            doc = doc["sections"]
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["gates", "--lattice", "hex_fragment",
+                        "--cover", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert message in err
+
     @pytest.mark.parametrize("flags,message", [
         (["--model", "extended_hubbard"], "costs only the hubbard model"),
         (["--model", "ppp"], "costs only the hubbard model"),

@@ -14,7 +14,8 @@ from fthub.lattice import LatticeGraph, SiteInfo, ring_lattice
 from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
                           dense_expm_hermitian, exact_spectral_norm,
                           jw_hopping, jw_neighbor, jw_onsite,
-                          jw_tile_local, number_op, run_suite, slater_rotation,
+                          jw_tile_local, number_op, orbital, run_suite,
+                          slater_rotation,
                           transfer_term, verify_chemical_shifts,
                           verify_commutator_bounds, verify_commutator_rules,
                           verify_tile_evolution, verify_trotter_step)
@@ -278,10 +279,11 @@ class TestBlockCommutators:
 
 
 class TestSectorSymmetries:
-    """Spin flip and particle-hole symmetry: each orbit of (N_up, N_down)
-    sectors is solved once, with a map used only after ``_commutes`` has
-    checked it once on every compiled operator and the Coulomb diagonals
-    are equal under it.  The plain run, with no maps, solves every sector."""
+    """Spin flip, particle-hole and cycle rotations: each orbit of
+    (N_up, N_down) sectors is solved once, as the character blocks of its
+    stabiliser, with a map used only after ``_commutes`` has checked it once
+    on every compiled operator and the Coulomb diagonals are equal under
+    it.  The plain run, with no maps, solves every sector whole."""
 
     @staticmethod
     def plain(monkeypatch, check, *args):
@@ -301,7 +303,7 @@ class TestSectorSymmetries:
         monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    @pytest.mark.parametrize("name", ["ring4", "ring6", "hexagon"])
+    @pytest.mark.parametrize("name", ["ring4", "ring5", "ring6", "hexagon"])
     @pytest.mark.parametrize("u,v", [(0.0, 0.0), (0.0, 3.0), (4.0, 0.0),
                                      (2.0, 1.0), (1.0, 4.0)])
     def test_commutators_reduced_equal_plain(self, request, monkeypatch,
@@ -342,7 +344,8 @@ class TestSectorSymmetries:
         h = (jw_hopping(ring4, 1.0) + jw_onsite(ring4, 4.0)
              + jw_neighbor(ring4, 2.0)).to_dense()
         maps = oracle._symmetry_maps(ring4)
-        assert len(maps) == 3
+        # spin flip, particle-hole, their product, the shifts by 1 and 2
+        assert len(maps) == 5
         for perm, sign in maps:
             p = np.zeros_like(h)
             p[perm, np.arange(perm.size)] = sign
@@ -371,11 +374,12 @@ class TestSectorSymmetries:
             matrix = bool(abs(p @ h @ p.T - h).max() < 1e-14)
             assert oracle._commutes(op.compile(), perm, sign) == matrix
             agreed[matrix] += 1
-        # 3 maps x 4 operators on ring4, 1 x 4 on ring5 and 3 x 6 on the
+        # 5 maps x 4 operators on ring4, 2 x 4 on ring5 and 6 x 6 on the
         # two-section hexagon; the number operator fails the two maps with
-        # particle-hole on ring4 and on the hexagon
+        # particle-hole on ring4 and on the hexagon, and the shifts by 1 and
+        # 3 swap the hexagon's sections
         assert hexagon_cover.n_sections == 2
-        assert agreed == {True: 10 + 4 + 16, False: 2 + 2}
+        assert agreed == {True: 18 + 8 + 30, False: 2 + 2 + 4}
 
     def test_commutes_refuses_broken_maps(self, ring4):
         lone_z = PauliSum(8, {(0, 1): 0.3}).compile()
@@ -407,26 +411,29 @@ class TestSectorSymmetries:
                                                  hexagon_cover,
                                                  hubbard_params, monkeypatch):
         # orbits of the 7 x 7 sectors under spin flip, particle-hole and
-        # their product: (49 + 7 + 1 + 7) / 4 = 16 by Burnside's lemma.  Of
-        # the kept sectors, (0, 0), (1, 1), (2, 2) and (0, 6), (1, 5), (2, 4)
-        # are fixed by one map and (3, 3) by all three: 2 + 2 + 4 parity
-        # blocks, less the odd block of the one-state (0, 0) and (0, 6),
-        # gives 16 + 1 + 1 + 3 + 2 = 23 blocks
-        assert len(oracle._symmetry_maps(hexagon)) == 3
+        # their product: (49 + 7 + 1 + 7) / 4 = 16 by Burnside's lemma.  The
+        # sections keep the shift by 2 along the cycle, of order 3, which
+        # splits each kept sector into k = 0 and a conjugate pair, solved
+        # once.  With the parity blocks of the sectors that spin flip or
+        # particle-hole fix, that gives 44 blocks, the largest 100 states of
+        # a 300-state sector such as (2, 3)
+        assert len(oracle._symmetry_maps(hexagon)) == 6
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
         calls = self.count_calls(monkeypatch, "eigh")
         verify_trotter_step(hexagon, hexagon_cover, hubbard_params, (0.1,),
                             bd)
         ops = 1 + hexagon_cover.n_sections
-        assert len(calls) == ops * 23
-        assert max(n for n, _ in calls) == 300
-        # 1.17e8 for the 16 whole sectors, the largest of 400 states
-        assert sum(n ** 3 for n, _ in calls) == ops * 40_057_706
+        assert len(calls) == ops * 44
+        assert max(n for n, _ in calls) == 100
+        # 1.17e8 for the 16 whole sectors, the largest of 400 states, and
+        # 4.0e7 for their 23 parity blocks, the largest of 300
+        assert sum(n ** 3 for n, _ in calls) == ops * 2_972_644
 
     def test_no_particle_hole_without_two_colouring(self, monkeypatch):
         ring5 = ring_lattice(5)
         assert oracle._two_colouring(ring5) is None
-        assert len(oracle._symmetry_maps(ring5)) == 1
+        # spin flip and the shift by 1
+        assert len(oracle._symmetry_maps(ring5)) == 2
         params = ModelParams("extended_hubbard", tau=1.0, u=3.0, v=1.0)
         reduced = verify_commutator_bounds(ring5, params)
         plain = self.plain(monkeypatch, verify_commutator_bounds, ring5,
@@ -495,22 +502,31 @@ class TestSectorSymmetries:
 
 
 class TestParityBases:
-    """A sector that a kept map carries onto itself is solved as the
-    character blocks of its stabiliser: symmetry-adapted bases whose
-    columns are normalised signed sums over the orbits of the maps."""
+    """A sector is solved as the character blocks of its stabiliser:
+    symmetry-adapted bases whose columns are normalised sums over the orbits
+    of the maps, weighted by a character.  Spin flip and particle-hole alone
+    give the real parity blocks; the rotations of a cycle add complex
+    characters."""
 
     @staticmethod
     def dense(basis, dim):
         states, coefs = basis
-        q = np.zeros((dim, states.shape[1]))
+        q = np.zeros((dim, states.shape[1]), dtype=coefs.dtype)
         for s, c in zip(states, coefs):
             q[s, np.arange(s.size)] += c
         return q
 
+    @staticmethod
+    def both_of_each_pair(monkeypatch):
+        """Solve both blocks of each conjugate pair of characters."""
+        real = oracle._adapted_bases
+        monkeypatch.setattr(oracle, "_adapted_bases",
+                            lambda members, stab, halve:
+                            real(members, stab, False))
+
     @pytest.mark.parametrize("name", ["ring4", "ring5", "hexagon"])
-    def test_bases_split_each_sector(self, request, name):
-        lattice = (ring_lattice(5) if name == "ring5"
-                   else request.getfixturevalue(name))
+    def test_bases_split_each_sector(self, request, monkeypatch, name):
+        lattice = request.getfixturevalue(name)
         n_qubits = 2 * lattice.n_sites
         dim = 1 << n_qubits
         labels = oracle._spin_labels(n_qubits)
@@ -518,6 +534,7 @@ class TestParityBases:
               + jw_neighbor(lattice, 2.0))
         h = TestSectorSymmetries.sparse(op)
         maps = oracle._symmetry_maps(lattice)
+        self.both_of_each_pair(monkeypatch)
         (groups,), bases = oracle._spin_sectors(lattice, [("H", op)], [])
         by_sector = {}
         for basis in bases:
@@ -531,32 +548,35 @@ class TestParityBases:
             # the blocks partition the sector, each with orthonormal columns
             assert sum(q.shape[1] for q in qs) == members.size
             q_all = np.hstack(qs)
-            assert np.abs(q_all.T @ q_all
+            assert np.abs(q_all.conj().T @ q_all
                           - np.eye(members.size)).max() < 1e-14
             assert not q_all[labels != label].any()
-            # every stabiliser map acts on a block as its character, and
-            # no two blocks of a sector share one
+            # every stabiliser map acts on a block as its character, a
+            # root of unity, and no two blocks of a sector share one; the
+            # blocks of real characters are real
             characters = set()
             for basis, q in zip(blocks, qs):
                 chi = []
                 for perm, sign in stab:
                     pq = np.zeros_like(q)
                     pq[perm] = sign[:, None] * q
-                    qpq = q.T @ pq
-                    chi.append(round(qpq[0, 0]))
-                    assert chi[-1] in (1, -1)
+                    qpq = q.conj().T @ pq
+                    chi.append(qpq[0, 0])
+                    assert abs(abs(chi[-1]) - 1) < 1e-14
                     assert np.abs(qpq - chi[-1] * np.eye(q.shape[1])).max() \
                         < 1e-14
-                characters.add(tuple(chi))
-                # the scatter build is Q^T H Q
+                characters.add(tuple(np.round(chi, 10)))
+                assert np.isrealobj(q) == all(abs(c.imag) < 1e-14
+                                              for c in chi)
+                # the scatter build is Q^H H Q
                 assert np.abs(oracle._block(groups, basis, dim)
-                              - q.T @ (h @ q)).max() < 1e-12
+                              - q.conj().T @ (h @ q)).max() < 1e-12
             assert len(characters) == len(blocks)
             split += len(blocks) > 1
-        # the self-mapped sectors with more than one state: (1, 1), (2, 2),
-        # (1, 3) on ring4; (1, 1) ... (4, 4) on ring5, spin flip only; and
-        # (1, 1), (2, 2), (3, 3), (1, 5), (2, 4) on the hexagon
-        assert split == {"ring4": 3, "ring5": 4, "hexagon": 5}[name]
+        # every kept sector with more than one state: 7 of 9 on ring4, 18 of
+        # 21 on ring5 (spin flip only) and 14 of 16 on the hexagon.  Before
+        # the rotations, only the self-mapped sectors were split: 3, 4 and 5
+        assert split == {"ring4": 7, "ring5": 18, "hexagon": 14}[name]
 
     @staticmethod
     def two_dimers():
@@ -610,29 +630,203 @@ class TestParityBases:
             assert g["exact"] == pytest.approx(want["exact"], rel=1e-12,
                                                abs=0.0)
 
-    def test_parity_bases_refuse_a_non_group(self):
+    def test_adapted_bases_refuse_a_broken_group(self):
         lattice = self.two_dimers()
         labels = oracle._spin_labels(8)
         members = np.flatnonzero(labels == 2 * 9 + 2)
         flip, hole, both = oracle._symmetry_maps(lattice)
-        assert len(oracle._parity_bases(members, [flip, hole, both])) == 4
-        # two maps without their product do not close to a group
-        plain = oracle._parity_bases(members, [flip, hole])
-        assert len(plain) == 1 and plain[0][0].shape == (1, members.size)
-        assert np.array_equal(plain[0][0][0], members)
+        bases = oracle._adapted_bases(members, [flip, hole, both], False)
+        assert len(bases) == 4
+        # the product is an element already: the two generators alone give
+        # the same blocks
+        again = oracle._adapted_bases(members, [flip, hole], False)
+        assert len(again) == 4
+        for (s1, c1), (s2, c2) in zip(bases, again):
+            assert np.array_equal(s1, s2) and np.array_equal(c1, c2)
         # spin flip times the parity s of the up electrons on the first
-        # dimer squares to a sign pattern sigma on sector (1, 1): with sigma
-        # and their product it closes to a cyclic group of order 4, whose
-        # characters are not all real
+        # dimer squares to a sign pattern sigma on sector (1, 1) that is not
+        # a constant, so it does not generate a group closed up to a
+        # constant phase; nor does sigma, a diagonal map
         members = np.flatnonzero(labels == 1 * 9 + 1)
         idx = np.arange(256)
         perm, sign = flip
         sign = sign * (1.0 - 2.0 * ((idx ^ (idx >> 2)) & 1))
         sigma = sign * sign[perm]
         assert (sigma[members] == -1).any()
-        cyclic = [(perm, sign), (idx, sigma), (perm, sigma * sign)]
-        plain = oracle._parity_bases(members, cyclic)
-        assert len(plain) == 1 and plain[0][0].shape == (1, members.size)
+        for broken in ([(perm, sign)], [(idx, sigma)],
+                       [(perm, sign), (idx, sigma)]):
+            assert oracle._adapted_bases(members, broken, False) is None
+        # s times particle-hole squares to 1 on sector (2, 2), but it
+        # anticommutes with spin flip wherever s is -1 there: only the signs
+        # tell that the two do not commute
+        members = np.flatnonzero(labels == 2 * 9 + 2)
+        s = 1.0 - 2.0 * ((idx ^ (idx >> 2)) & 1)
+        assert (s[members] == -1).any()
+        twisted = (hole[0], hole[1] * s)
+        assert len(oracle._adapted_bases(members, [twisted], False)) == 2
+        assert oracle._adapted_bases(members, [flip, twisted], False) is None
+
+
+class TestMomentumBlocks:
+    """The rotations of a cycle, lifted from site permutations with their
+    Jordan-Wigner sign, split each sector into momentum blocks; complex
+    characters come in conjugate pairs, of which one block is solved."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_rotation_sign(self, n):
+        maps = oracle._symmetry_maps(ring_lattice(n))
+        # the shift by 1 follows spin flip, and particle-hole on even rings
+        perm, sign = maps[1 if n % 2 else 3]
+        n_qubits = 2 * n
+        mode = [orbital((q // 2 + 1) % n, q % 2) for q in range(n_qubits)]
+        for m in range(1 << n_qubits):
+            image = [mode[q] for q in range(n_qubits) if m >> q & 1]
+            inversions = sum(a > b for k, a in enumerate(image)
+                             for b in image[k + 1:])
+            assert perm[m] == sum(1 << q for q in image)
+            assert sign[m] == (-1) ** inversions
+        # the up electron on the last site passes the k up electrons on
+        # sites 0 .. k-1 as it wraps to site 0
+        last = 1 << orbital(n - 1, 0)
+        for k in range(n - 1):
+            state = last | sum(1 << orbital(i, 0) for i in range(k))
+            assert sign[state] == (-1) ** k
+        # the lift is a representation, so T^n is the identity with sign +1,
+        # for odd and even electron numbers alike
+        up, dn = oracle._spin_occupations(n_qubits)
+        assert {0, 1} <= set((up + dn) % 2)
+        state, total = np.arange(1 << n_qubits), np.ones(1 << n_qubits)
+        for _ in range(n):
+            state, total = perm[state], total * sign[state]
+            assert _ < n - 1 or np.array_equal(state, np.arange(state.size))
+        assert (total == 1).all()
+
+    def test_generator_with_a_phase(self, ring5):
+        # the shift by 1 with its sign negated, -T, is a symmetry as well,
+        # and (-T)^5 = -1: its characters are the fifth roots of -1, and it
+        # splits each sector into the blocks of T
+        (perm, sign), n_qubits = oracle._symmetry_maps(ring5)[1], 10
+        labels = oracle._spin_labels(n_qubits)
+        members = np.flatnonzero(labels == 2 * 11 + 1)
+        plus = oracle._adapted_bases(members, [(perm, sign)], False)
+        minus = oracle._adapted_bases(members, [(perm, -sign)], False)
+        assert len(minus) == len(plus) == 5
+        assert sorted(b[0].shape[1] for b in minus) == sorted(
+            b[0].shape[1] for b in plus)
+        assert sum(b[0].shape[1] for b in minus) == members.size
+        for basis in minus:
+            q = TestParityBases.dense(basis, 1 << n_qubits)
+            pq = np.zeros_like(q)
+            pq[perm] = -sign[:, None] * q
+            chi = (q.conj().T @ pq)[0, 0]
+            assert chi ** 5 == pytest.approx(-1, abs=1e-12)
+            assert np.abs(pq - chi * q).max() < 1e-14
+
+    def test_step_keeps_the_shift_by_two(self, hexagon, hexagon_cover,
+                                         hubbard_params, monkeypatch):
+        # the sections are alternate edges of the cycle 0-1-2-5-4-3: the
+        # shifts by 1 and 3 swap them, the shift by 2 keeps each
+        maps = oracle._symmetry_maps(hexagon)
+        assert oracle._cycle_order(hexagon) == [0, 1, 2, 5, 4, 3]
+        shifts = dict(zip((1, 2, 3), maps[3:]))
+        hop = jw_hopping(hexagon, 1.0).compile()
+        sections = [oracle.jw_section(hexagon, hexagon_cover, s, 1.0).compile()
+                    for s in range(hexagon_cover.n_sections)]
+        for d, m in shifts.items():
+            assert oracle._commutes(hop, *m)
+            assert all(oracle._commutes(g, *m) for g in sections) == (d == 2)
+        given, largest = [], []
+        real = oracle._adapted_bases
+
+        def record(members, stab, halve):
+            given.append([d for d, (p, _) in shifts.items()
+                          if any(np.array_equal(p, q) for q, _ in stab)])
+            bases = real(members, stab, halve)
+            largest.append(max(b[0].shape[1] for b in bases))
+            return bases
+
+        monkeypatch.setattr(oracle, "_adapted_bases", record)
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        verify_trotter_step(hexagon, hexagon_cover, hubbard_params, (0.1,),
+                            bd)
+        # the shift by 2 has order 3: a third of a 300-state sector
+        assert len(given) == 16 and all(g == [2] for g in given)
+        assert max(largest) == 100
+        given.clear()
+        largest.clear()
+        verify_commutator_bounds(hexagon, ModelParams(
+            "extended_hubbard", tau=1.0, u=2.0, v=1.0))
+        # all three pass for the commutator checks; the builder generates
+        # with the shift by 1, of order 6, and skips the others, its powers
+        assert len(given) == 16 and all(g == [1, 2, 3] for g in given)
+        assert max(largest) == 50
+
+    def test_conjugate_blocks_agree(self, hexagon, hexagon_cover,
+                                    hubbard_params, monkeypatch):
+        coulomb = jw_onsite(hexagon, hubbard_params.u)
+        pieces = [("H", jw_hopping(hexagon, 1.0) + coulomb)] + [
+            (f"section {s}", oracle.jw_section(hexagon, hexagon_cover, s, 1.0))
+            for s in range(hexagon_cover.n_sections)]
+        c_diag = oracle._diag_of_z_sum(coulomb)
+        dim = 1 << 12
+        t_list = (0.05, 0.1, 0.2)
+        _, halved = oracle._spin_sectors(hexagon, pieces, [c_diag])
+        with monkeypatch.context() as m:
+            TestParityBases.both_of_each_pair(m)
+            groups, bases = oracle._spin_sectors(hexagon, pieces, [c_diag])
+        # conj(chi) has the conjugate coefficients, to rounding
+        pairs = [(a, b) for a in bases for b in bases
+                 if np.iscomplexobj(a[1]) and a is not b
+                 and np.array_equal(a[0], b[0])
+                 and np.abs(a[1].conj() - b[1]).max() < 1e-15]
+        assert len(pairs) == 2 * (len(bases) - len(halved)) > 0
+        for a, b in pairs:
+            for g in groups:
+                block = oracle._block(g, a, dim)
+                other = oracle._block(g, b, dim)
+                assert np.abs(other - block.conj()).max() < 1e-14
+                assert np.linalg.eigvalsh(other) == pytest.approx(
+                    np.linalg.eigvalsh(block), rel=0, abs=1e-12)
+            assert oracle._step_errors(groups, a, dim, c_diag, t_list) == \
+                pytest.approx(oracle._step_errors(groups, b, dim, c_diag,
+                                                  t_list), rel=1e-12)
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        args = (hexagon, hexagon_cover, hubbard_params, t_list, bd)
+        reduced = verify_trotter_step(*args)
+        with monkeypatch.context() as m:
+            TestParityBases.both_of_each_pair(m)
+            both = verify_trotter_step(*args)
+        for got, want in zip(reduced, both):
+            assert got["exact"] == pytest.approx(want["exact"], rel=1e-12)
+
+    def test_non_abelian_stabiliser_falls_back(self, ring6, monkeypatch):
+        # the reflection i -> -i of the ring is a symmetry too, but it does
+        # not commute with the rotations: each sector falls back to its
+        # parity blocks, those of spin flip and particle-hole
+        real = oracle._symmetry_maps
+        site = -np.arange(6) % 6
+        reflection = oracle._lift(2 * site.repeat(2) + np.arange(12) % 2)
+        assert oracle._commutes(jw_hopping(ring6, 1.0).compile(), *reflection)
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=1.0)
+        # warm: the bound's own eigensolves are memoized
+        verify_commutator_bounds(ring6, params)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_symmetry_maps",
+                      lambda lattice: real(lattice)[:3])
+            calls = TestSectorSymmetries.count_calls(m, "eigvalsh")
+            parity = verify_commutator_bounds(ring6, params)
+            n_parity = len(calls)
+        monkeypatch.setattr(oracle, "_symmetry_maps",
+                            lambda lattice: real(lattice) + [reflection])
+        calls = TestSectorSymmetries.count_calls(monkeypatch, "eigvalsh")
+        assert verify_commutator_bounds(ring6, params) == parity
+        assert len(calls) == n_parity
+        plain = TestSectorSymmetries.plain(monkeypatch,
+                                           verify_commutator_bounds, ring6,
+                                           params)
+        for got, want in zip(parity, plain):
+            assert got["exact"] == pytest.approx(want["exact"], rel=1e-12,
+                                                 abs=0.0)
 
 
 class TestTransientMemory:
@@ -658,18 +852,20 @@ class TestTransientMemory:
         params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=2.0)
         # 10.33 MiB when the walk built blocks to check the maps and the
         # three nested commutators were live together, 7.86 MiB when each
-        # self-mapped sector was solved whole
+        # self-mapped sector was solved whole, 4.71 MiB with parity blocks
+        # alone (largest 300 states, against 50 with the momentum blocks)
         assert self.peak(verify_commutator_bounds, hexagon,
-                         params) <= 4_937_344 + self.SLACK
+                         params) <= 1_779_512 + self.SLACK
 
     def test_trotter_step(self, hexagon, hexagon_cover, hubbard_params):
         bd = w_tile(hexagon, hexagon_cover, hubbard_params)
         # 24.09 MiB when the walk built blocks to check the maps and every
         # section's half step was live together, 16.74 MiB when each
-        # self-mapped sector was solved whole
+        # self-mapped sector was solved whole, 9.84 MiB with parity blocks
+        # alone (largest 300 states, against 100 with the momentum blocks)
         assert self.peak(verify_trotter_step, hexagon, hexagon_cover,
                          hubbard_params, (0.05, 0.1, 0.2),
-                         bd) <= 10_321_204 + self.SLACK
+                         bd) <= 2_359_692 + self.SLACK
 
 
 class TestTrotterStep:

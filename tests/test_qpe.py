@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fthub import qpe
 from fthub.gatecount import step_cost_periodic_hubbard
 from fthub.qpe import (CSV_COLUMNS, crossover_sweep, hubbard_step, optimize_x,
                        qubitized_qpe, rows_to_csv, trotter_qpe)
@@ -92,6 +93,59 @@ class TestTrotterQpe:
             assert est.intermediates["n_pe"] >= 1.0
             assert est.intermediates["n_rt"] > 0 and est.total_t > 0
         assert trotter_qpe(step, 215.0, eps).total_t > 0
+
+
+def golden_section_evaluating_both(step, w, eps):
+    """``optimize_x`` as it was when every narrowing evaluated both interior
+    points: the reference for its x."""
+    def f(x):
+        return qpe._trotter_total_t(step, w, eps, x)[0]
+
+    ratio = (qpe.X_GRID_HI / qpe.X_GRID_LO) ** (1.0 / (qpe.X_GRID_POINTS - 1))
+    grid = [qpe.X_GRID_LO * ratio ** i for i in range(qpe.X_GRID_POINTS)]
+    costs = [f(x) for x in grid]
+    k = costs.index(min(costs))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, qpe.X_GRID_POINTS - 1)]
+    c = b - qpe._GOLDEN * (b - a)
+    d = a + qpe._GOLDEN * (b - a)
+    for _ in range(60):
+        if f(c) < f(d):
+            b, d = d, c
+            c = b - qpe._GOLDEN * (b - a)
+        else:
+            a, c = c, d
+            d = a + qpe._GOLDEN * (b - a)
+    return 0.5 * (a + b)
+
+
+class TestOptimizeX:
+    def test_one_evaluation_per_narrowing(self, monkeypatch):
+        # the qpe sweep's inputs: both models at table2's couplings, every
+        # lattice size and alpha rule of the default sweep, fixed and
+        # extensive eps
+        from fthub.cli import _w_by_n
+        cases = []
+        for model in ("hubbard", "extended_hubbard"):
+            w_of = _w_by_n(model, range(4, 19, 2), 4.0, 2.0, 1.0)
+            for n, w in w_of.items():
+                for rule in qpe.ALPHA_RULES:
+                    step = hubbard_step(n, model, rule)
+                    cases += [(step, w, eps) for eps in (0.02, 0.05, 0.005 * n)]
+        expected = [golden_section_evaluating_both(*case) for case in cases]
+        calls = []
+        real = qpe._trotter_total_t
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(qpe, "_trotter_total_t", counted)
+        for case, want in zip(cases, expected):
+            calls.clear()
+            assert optimize_x(*case) == want
+            # the grid, the first two interior points, then one new point
+            # for each of the 59 narrowings that are compared
+            assert len(calls) == qpe.X_GRID_POINTS + 61
 
 
 class TestQubitizedQpe:
