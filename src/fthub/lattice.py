@@ -44,7 +44,7 @@ class LatticeGraph:
     n_sites: int
     edges: tuple                   # sorted distinct (i, j) pairs, i < j
     site_info: tuple
-    kind: str                      # periodic_hex | hex_fragment | square_fragment | custom
+    kind: str                      # periodic_hex | hex_fragment | square_fragment | ring | custom
     dims: tuple | None = None      # (L_x, L_y) for periodic builds
     # code i * n_sites + j of each edge, ascending; set by the edge check
     edge_codes: np.ndarray = field(init=False, repr=False)
@@ -316,7 +316,36 @@ def ring_lattice(n: int) -> LatticeGraph:
         raise LatticeError("ring needs at least 3 sites")
     edges = _edge_tuple((i, (i + 1) % n) for i in range(n))
     info = tuple(SiteInfo(i, i, 0, 0, "center") for i in range(n))
-    return LatticeGraph(n, edges, info, "custom")
+    return LatticeGraph(n, edges, info, "ring")
+
+
+# ---------------------------------------------------------------------------
+# site symmetries
+
+
+def symmetry_generators(lattice: LatticeGraph) -> list:
+    """Generating site permutations g (site i -> g[i], edges onto edges):
+    the cell translations along x and y of a ``periodic_hex`` lattice; the
+    rotation of a connected 2-regular lattice one step along its cycle, from
+    site 0 towards its smaller neighbour; none for any other lattice."""
+    n = lattice.n_sites
+    if lattice.kind == "periodic_hex":
+        l_x, l_y = lattice.dims
+        cell, c = np.divmod(np.arange(n), 2)
+        m, l = np.divmod(cell, l_x)
+        return [hex_site_index(l + 1, m, c, l_x, l_y),
+                hex_site_index(l, m + 1, c, l_x, l_y)]
+    if regular_degree(lattice) != 2:
+        return []
+    cycle = [0, min(lattice.neighbors(0))]
+    while len(cycle) < n:
+        nxt = next(j for j in lattice.neighbors(cycle[-1]) if j != cycle[-2])
+        if nxt == 0:            # back at the start: more than one cycle
+            return []
+        cycle.append(nxt)
+    rotation = np.empty(n, dtype=np.int64)
+    rotation[cycle] = np.roll(cycle, -1)
+    return [rotation]
 
 
 # ---------------------------------------------------------------------------

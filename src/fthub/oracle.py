@@ -10,36 +10,35 @@ identities on small instances.  The nested commutators of the
 Coulomb/hopping bounds are taken on blocks of the hopping operator and the
 Coulomb diagonals, with no Pauli product.
 
-``_sector_sets`` groups the states by (N_up, N_down), enforces the block
-cap before any block is built and drops the mirror sectors of each symmetry
-orbit; ``exact_spectral_norm`` solves every sector.  The lattice checks get
-their operators and blocks from ``_spin_sectors``.  Spin flip (qubits 2i and
-2i + 1 swapped, (a, b) -> (b, a)), particle-hole on a 2-colourable lattice
-(every qubit flipped, (a, b) -> (N - a, N - b)) and the rotations of a
-cycle, taken in its cycle order, act on basis states as signed
-permutations |m> -> eps(m) |pi(m)>; spin flip and the rotations are site
-permutations lifted with their Jordan-Wigner sign (``_lift``).  A map is
-used only if ``_commutes`` accepts it on every compiled operator and every
-Coulomb diagonal is exactly equal under it; no block is built to check a
-map.  The commutator checks keep the shift by 1 on ring4, ring6 and the
-hexagon (cycle 0-1-2-5-4-3); the hexagon's Trotter step keeps only the
-shift by 2, since its two sections are alternate edges of the cycle.
+Every lattice check gets its compiled operators and blocks from one path,
+``_spin_sectors``: ``_sector_sets`` groups the states by (N_up, N_down),
+enforces the block cap before any block is built and drops the mirror
+sectors of each symmetry orbit.  Spin flip (qubits 2i and 2i + 1 swapped,
+(a, b) -> (b, a)), particle-hole on a 2-colourable lattice (every qubit
+flipped, (a, b) -> (N - a, N - b)) and the powers of the lattice's site
+generators (``lattice.symmetry_generators``: a cycle's rotation, a torus's
+cell translations) act on basis states as signed permutations |m> -> eps(m)
+|pi(m)>; the site permutations are lifted with their Jordan-Wigner sign
+(``_lift``).  A map is used only if ``_commutes`` accepts it on every
+compiled operator and every Coulomb diagonal is exactly equal under it; no
+block is built to check a map.  The hexagon's Trotter step keeps only the
+shift by 2 of its cycle 0-1-2-5-4-3, since its two sections are alternate
+edges; the commutator checks keep every rotation.
 
 Each kept sector is solved as one block per character of its stabiliser
 (``_adapted_bases``, after Sandvik, arXiv:1101.3281), the abelian group
 that the maps fixing it generate, closed up to a constant sign on the
-sector; without rotations these are the real parity blocks of spin flip and
-particle-hole.  Rotation characters are complex momentum phases.  When
-every operator is real, as the shipped ones are, the block of conj(chi) is
-the conjugate of chi's, with the same spectrum and, the step being
-symmetric, the same step error: one block of each pair is solved.  A stabiliser that does not
-generate such a group falls back to its parity maps, then to the whole
-sector.  The Coulomb diagonals are constant on each orbit, so every check
-runs on the blocks unchanged.  On the 12-qubit hexagon the 16 kept sectors
-are 44 blocks for the Trotter step (largest 100 states, summed n^3 3.0e6
-against 4.0e7 with parity blocks alone and 1.17e8 whole) and 86 for the
-commutator checks (largest 50, summed n^3 7.5e5); ``run_suite("full")``
-builds 2,096 blocks.
+sector; spin flip and particle-hole alone give real parity blocks, and
+translations add complex momentum phases.  When every operator is real, as
+the shipped ones are, the block of conj(chi) is the conjugate of chi's,
+with the same spectrum and, the step being symmetric, the same step error:
+one block of each pair is solved.  A stabiliser that does not generate such
+a group falls back to its parity maps, then to the whole sector.  The
+Coulomb diagonals are constant on each orbit, so every check runs on the
+blocks unchanged, and one set of blocks serves a lattice's whole (U, V)
+grid.  On the 12-qubit hexagon the Trotter step solves 44 blocks (largest
+100 states, summed n^3 3.0e6) and the commutator checks 86 (largest 50);
+``run_suite("full")`` builds 466 blocks in 6 ``_spin_sectors`` calls.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import numpy as np
 
 # perfbench's tracer test still looks up oracle.schatten1
 from .freefermion import _commutator_ah, schatten1  # noqa: F401
-from .lattice import LatticeGraph, regular_degree
+from .lattice import LatticeGraph, regular_degree, symmetry_generators
 from .pauli import _PARITY16, PauliSum
 from .tiling import SectionCover, chain_rotation, tile_catalog
 from .trotterbounds import (ModelParams, TrotterErrorBreakdown,
@@ -230,29 +229,14 @@ def _lift(modes: np.ndarray) -> tuple:
     return perm, 1.0 - 2.0 * odd
 
 
-def _cycle_order(lattice: LatticeGraph) -> list | None:
-    """The sites of a connected 2-regular lattice in cycle order, from site
-    0 towards its smaller neighbour; None for any other lattice."""
-    if regular_degree(lattice) != 2:
-        return None
-    order = [0, min(lattice.neighbors(0))]
-    while len(order) < lattice.n_sites:
-        nxt = next(j for j in lattice.neighbors(order[-1]) if j != order[-2])
-        if nxt == 0:            # back at the start: more than one cycle
-            return None
-        order.append(nxt)
-    return order
-
-
 def _symmetry_maps(lattice: LatticeGraph) -> list:
-    """(pi, eps) of each candidate symmetry, a map of basis state m to
-    eps[m] |pi[m]>: the non-trivial elements of the group generated by spin
-    flip and, on a 2-colourable lattice, particle-hole; then, on a cycle
-    (``_cycle_order``), the rotation by each proper divisor d of its length,
-    ascending.  Signs that depend only on the sector are left out; they do
-    not change a block's spectrum.
+    """(pi, eps) of each candidate symmetry, |m> -> eps[m] |pi[m]>: the
+    non-trivial elements of the group of spin flip and, on a 2-colourable
+    lattice, particle-hole; then g^d for each ``symmetry_generators`` g of
+    order o and proper divisor d of o, ascending.  Signs that depend only on
+    the sector are left out; they do not change a block's spectrum.
 
-    Spin flip swaps qubits 2i and 2i + 1 and each rotation moves site i's
+    Spin flip swaps qubits 2i and 2i + 1 and each power of g moves site i's
     orbitals to its image; both are site permutations lifted by ``_lift``,
     spin flip with eps = (-1)^(sum_i n_iup n_idown).  Particle-hole flips
     every qubit, with eps = (-1)^(electrons on colour-1 sites), the
@@ -269,13 +253,13 @@ def _symmetry_maps(lattice: LatticeGraph) -> list:
         hole = idx ^ (idx.size - 1)
         hole_sign = 1.0 - 2.0 * _PARITY16[idx & odd]
         maps += [(hole, hole_sign), (flip[hole], hole_sign * flip_sign[hole])]
-    cycle = _cycle_order(lattice)
-    if cycle is not None:
-        for d in range(1, n):
-            if n % d == 0:
-                site = np.empty(n, dtype=int)
-                site[cycle] = np.roll(cycle, -d)
-                maps.append(_lift(2 * site.repeat(2) + spins))
+    for gen in symmetry_generators(lattice):
+        powers = [gen]
+        while not np.array_equal(powers[-1], np.arange(n)):
+            powers.append(gen[powers[-1]])
+        maps += [_lift(2 * site.repeat(2) + spins)
+                 for d, site in enumerate(powers[:-1], 1)
+                 if len(powers) % d == 0]
     return maps
 
 
@@ -508,25 +492,6 @@ def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
     return groups.get(0, np.zeros(1 << op.n_qubits)).real
 
 
-def exact_spectral_norm(op: PauliSum) -> float:
-    """Largest |eigenvalue| of a Hermitian Pauli sum.
-
-    The operator is compiled to its X-mask groups and split into its
-    conserved (N_up, N_down) sector blocks, each diagonalized densely; an
-    operator that mixes sectors is one block over the whole space.
-    """
-    if op.is_zero():
-        return 0.0
-    if not op.is_hermitian():
-        raise ValueError("operator must be Hermitian")
-    groups = op.compile()
-    labels = _spin_labels(op.n_qubits)
-    if _leak(groups, labels) > LEAK_RTOL:
-        labels = np.zeros_like(labels)
-    return max(_peak(_block(groups, _plain(m), labels.size))
-               for m in _sector_sets(labels))
-
-
 def _peak(block: np.ndarray) -> float:
     """Largest |eigenvalue| of a Hermitian block."""
     return float(np.abs(np.linalg.eigvalsh(block)).max())
@@ -623,10 +588,10 @@ def verify_tile_evolution(kind: str, tau: float, t: float) -> dict:
 # commutator bound dominance
 
 
-def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list:
+def verify_commutator_bounds(lattice: LatticeGraph, *params: ModelParams) -> list:
     """Exact nested-commutator spectral norms against the closed-form bounds
     that ``trotterbounds.w_so2_extended`` ships (extended-model params on a
-    regular lattice).
+    regular lattice), for each grid point of ``params`` in turn.
 
     The Coulomb pieces are diagonal and the hopping operator H conserves
     (N_up, N_down) (checked on its compiled form), so every nested commutator
@@ -634,36 +599,39 @@ def verify_commutator_bounds(lattice: LatticeGraph, params: ModelParams) -> list
     -(c_i - c_j)^2 h_ij, and [[D, H], H] for D = I, V as [X, h] with the
     anti-Hermitian X_ij = (d_i - d_j) h_ij, in one block product.  No Pauli
     product is formed.  One sector per symmetry orbit is solved, as the
-    character blocks of its stabiliser (``_spin_sectors``); the diagonals
-    are equal over each orbit, so they are read at its first state.
+    character blocks of its stabiliser (``_spin_sectors``) under the maps
+    that leave every point's diagonals equal, so they are read at each
+    orbit's first state.  The points share tau: each h serves them all.
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
-    u, v, tau = params.u, params.v, params.tau
-    bounds = w_so2_extended(lattice, params).components
-    d_i = _diag_of_z_sum(jw_onsite(lattice, u))
-    d_v = _diag_of_z_sum(jw_neighbor(lattice, v))
+    if len({p.tau for p in params}) != 1:
+        raise ValueError("the grid points must share one tau")
+    bounds = [w_so2_extended(lattice, p).components for p in params]
+    diags = [(_diag_of_z_sum(jw_onsite(lattice, p.u)),
+              _diag_of_z_sum(jw_neighbor(lattice, p.v))) for p in params]
     (hop,), bases = _spin_sectors(
-        lattice, [("hopping Hamiltonian", jw_hopping(lattice, tau))],
-        [d_i, d_v])
-    peaks = []
+        lattice, [("hopping Hamiltonian", jw_hopping(lattice, params[0].tau))],
+        [d for pair in diags for d in pair])
+    peaks = np.zeros((len(params), 3))
     for basis in bases:
         h = _block(hop, basis, 1 << n_qubits)
         reps = basis[0][0]
-        gap_i = d_i[reps, None] - d_i[None, reps]
-        gap_v = d_v[reps, None] - d_v[None, reps]
-        # each nested commutator is solved before the next one is built
-        peaks.append([_peak(-(gap_i + gap_v) ** 2 * h),
-                      _peak(_commutator_ah(gap_i * h, h)),
-                      _peak(_commutator_ah(gap_v * h, h))])
-    name = f"{lattice.kind}/N={lattice.n_sites} U={u} V={v}"
+        for peak, (d_i, d_v) in zip(peaks, diags):
+            gap_i = d_i[reps, None] - d_i[None, reps]
+            gap_v = d_v[reps, None] - d_v[None, reps]
+            # each nested commutator is solved before the next one is built
+            np.maximum(peak, [_peak(-(gap_i + gap_v) ** 2 * h),
+                              _peak(_commutator_ah(gap_i * h, h)),
+                              _peak(_commutator_ah(gap_v * h, h))], out=peak)
     checks = []
-    for label, exact in zip(("comm_CHC", "comm_IHH", "comm_VHH"),
-                            np.max(peaks, axis=0).tolist()):
-        bound = bounds[label + "_bound"]
-        checks.append({"check": label, "instance": name, "exact": exact,
-                       "bound": bound,
-                       "pass": exact <= bound + 1e-9 * max(bound, 1.0)})
+    for p, bound_of, peak in zip(params, bounds, peaks.tolist()):
+        name = f"{lattice.kind}/N={lattice.n_sites} U={p.u} V={p.v}"
+        for label, exact in zip(("comm_CHC", "comm_IHH", "comm_VHH"), peak):
+            bound = bound_of[label + "_bound"]
+            checks.append({"check": label, "instance": name, "exact": exact,
+                           "bound": bound,
+                           "pass": exact <= bound + 1e-9 * max(bound, 1.0)})
     return checks
 
 
@@ -827,8 +795,12 @@ def verify_commutator_rules(tau: float = 1.0) -> list:
 
 
 def verify_ff_norm(lattice: LatticeGraph, tau: float = 1.0) -> dict:
-    """Exact many-body norm of the hopping Hamiltonian against tau * |R|_1."""
-    exact = exact_spectral_norm(jw_hopping(lattice, tau))
+    """Exact many-body norm of the hopping Hamiltonian against tau * |R|_1:
+    the largest block peak over its ``_spin_sectors`` bases."""
+    (hop,), bases = _spin_sectors(
+        lattice, [("hopping Hamiltonian", jw_hopping(lattice, tau))], [])
+    dim = 1 << 2 * lattice.n_sites
+    exact = max(_peak(_block(hop, basis, dim)) for basis in bases)
     predicted = tau * _adjacency_schatten1(lattice)
     return {"check": "ff_norm", "instance": f"{lattice.kind}/N={lattice.n_sites}",
             "exact": exact, "bound": predicted,
@@ -869,11 +841,10 @@ def run_suite(level: str = "fast") -> list:
 
     if level == "full":
         ring6 = ring_lattice(6)
+        grid = [ModelParams("extended_hubbard", tau=1.0, u=u, v=v)
+                for u in (0.0, 2.0, 4.0) for v in (0.0, 2.0, 4.0)]
         for lat in (ring4, ring6, hexagon):
-            for u in (0.0, 2.0, 4.0):
-                for v in (0.0, 2.0, 4.0):
-                    params = ModelParams("extended_hubbard", tau=1.0, u=u, v=v)
-                    reports.extend(verify_commutator_bounds(lat, params))
+            reports.extend(verify_commutator_bounds(lat, *grid))
 
         params = ModelParams("hubbard", tau=1.0, u=4.0)
         cover = cover_hex_fragment(hexagon)

@@ -201,7 +201,7 @@ def cover_hex_fragment(lattice: LatticeGraph) -> SectionCover:
     shares no site with, and a new section is opened when none fits.  The
     sections are named blue, red, gold, extra, then extra2, extra3, ...
     """
-    if lattice.kind not in ("hex_fragment", "square_fragment", "custom"):
+    if lattice.kind not in ("hex_fragment", "square_fragment", "ring", "custom"):
         raise CoverError("greedy cover expects a fragment lattice")
 
     uncovered = set(lattice.edges)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fthub import trotterbounds
+from fthub import oracle, trotterbounds
 from fthub.lattice import (LatticeGraph, SiteInfo, _edge_tuple, build_hex_fragment,
                            build_periodic_hex, check_periodic_dims, hex_site_index,
                            ring_lattice, single_hexagon)
@@ -43,6 +43,28 @@ def section_adjacency(cover, s):
         for i, j in tile.edges:
             mat[i, j] = mat[j, i] = 1
     return mat
+
+
+def exact_spectral_norm(op):
+    """Largest |eigenvalue| of a Hermitian Pauli sum: the generic reference
+    of the oracle's sector-block norms.
+
+    The operator is compiled to its X-mask groups and split into its
+    conserved (N_up, N_down) sector blocks, each diagonalized densely, with
+    no symmetry map; an operator that mixes sectors is one block over the
+    whole space.
+    """
+    if op.is_zero():
+        return 0.0
+    if not op.is_hermitian():
+        raise ValueError("operator must be Hermitian")
+    groups = op.compile()
+    labels = oracle._spin_labels(op.n_qubits)
+    if oracle._leak(groups, labels) > oracle.LEAK_RTOL:
+        labels = np.zeros_like(labels)
+    return max(oracle._peak(oracle._block(groups, oracle._plain(m),
+                                          labels.size))
+               for m in oracle._sector_sets(labels))
 
 
 # loop references of the periodic lattice, its cover and cover validation:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import section_adjacency, star_matrix
+from conftest import exact_spectral_norm, section_adjacency, star_matrix
 from fthub import freefermion, oracle, trotterbounds
 from fthub.freefermion import (_commutator_ah, _commutator_hh, schatten1,
                                translation_blocks)
@@ -176,7 +176,7 @@ class TestCommNorms:
         star_edges = [(0, j) for j in ring6.neighbors(0)]
         s_op = oracle.jw_hopping(ring6, -1.0, edges=star_edges, spins=(0,))
         r_op = oracle.jw_hopping(ring6, -1.0, spins=(0,))
-        exact = oracle.exact_spectral_norm(s_op.commutator(r_op).commutator(r_op))
+        exact = exact_spectral_norm(s_op.commutator(r_op).commutator(r_op))
         assert exact == pytest.approx(
             0.5 * schatten1(_commutator_ah(_commutator_hh(s, r), r)),
             rel=1e-10)

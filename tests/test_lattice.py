@@ -11,7 +11,7 @@ from fthub.lattice import (LatticeError, LatticeGraph, SiteInfo,
                            build_hex_fragment, build_periodic_hex,
                            build_square_fragment, degree_histogram,
                            lattice_from_json, lattice_to_json, regular_degree,
-                           ring_lattice)
+                           ring_lattice, single_hexagon, symmetry_generators)
 from conftest import CHEVRON_CELLS, PARALLELOGRAM_CELLS
 
 HEX44_SHA = "2baddd80280a6a6a8bd0c82827d767782249b954ea671c2272558054264ec0f0"
@@ -110,9 +110,52 @@ class TestHelpers:
 
     def test_ring(self):
         assert regular_degree(ring_lattice(6)) == 2
+        assert ring_lattice(6).kind == "ring"
 
     def test_regular_degree_none_for_fragment(self, parallelogram):
         assert regular_degree(parallelogram) is None
+
+
+class TestSymmetryGenerators:
+    """Each generator is a permutation of the sites that maps the edge set
+    onto itself."""
+
+    @pytest.mark.parametrize("lattice,orders", [
+        *[(ring_lattice(n), [n]) for n in range(3, 7)],
+        (single_hexagon(), [6]),
+        (build_periodic_hex(2, 2), [2, 2]),
+        (build_periodic_hex(4, 4), [4, 4]),
+        (build_square_fragment(3, 3), [])],
+        ids=["ring3", "ring4", "ring5", "ring6", "hexagon", "torus2x2",
+             "torus4x4", "square3x3"])
+    def test_generators_map_edges_onto_edges(self, lattice, orders):
+        n = lattice.n_sites
+        gens = symmetry_generators(lattice)
+        edges = set(lattice.edges)
+        for gen, order in zip(gens, orders, strict=True):
+            assert gen.dtype.kind == "i"
+            assert sorted(gen.tolist()) == list(range(n))
+            assert {(min(a, b), max(a, b)) for a, b in
+                    (gen[list(e)].tolist() for e in edges)} == edges
+            power, k = gen, 1
+            while not np.array_equal(power, np.arange(n)):
+                power, k = gen[power], k + 1
+            assert k == order
+
+    def test_torus_translations_shift_cells(self):
+        lattice = build_periodic_hex(4, 2)
+        info = lattice.site_info
+        tx, ty = symmetry_generators(lattice)
+        for s in info:
+            x, y = info[tx[s.index]], info[ty[s.index]]
+            assert (x.l_x, x.l_y, x.color) == ((s.l_x + 1) % 4, s.l_y, s.color)
+            assert (y.l_x, y.l_y, y.color) == (s.l_x, (s.l_y + 1) % 2, s.color)
+
+    def test_no_rotation_off_a_single_cycle(self):
+        two_triangles = LatticeGraph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5),
+                                         (4, 5)), _sites(6), "custom")
+        assert regular_degree(two_triangles) == 2
+        assert symmetry_generators(two_triangles) == []
 
 
 class TestJson:

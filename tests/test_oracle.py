@@ -8,17 +8,20 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from conftest import exact_spectral_norm
 from fthub.freefermion import schatten1
 from fthub import oracle
-from fthub.lattice import LatticeGraph, SiteInfo, ring_lattice
+from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
+                           ring_lattice, symmetry_generators)
 from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
-                          dense_expm_hermitian, exact_spectral_norm,
+                          dense_expm_hermitian,
                           jw_hopping, jw_neighbor, jw_onsite,
                           jw_tile_local, number_op, orbital, run_suite,
                           slater_rotation,
                           transfer_term, verify_chemical_shifts,
                           verify_commutator_bounds, verify_commutator_rules,
-                          verify_tile_evolution, verify_trotter_step)
+                          verify_ff_norm, verify_tile_evolution,
+                          verify_trotter_step)
 from fthub.pauli import PauliSum
 from fthub.trotterbounds import ModelParams, w_tile
 
@@ -237,6 +240,35 @@ class TestCommutatorBounds:
         params = ModelParams("extended_hubbard", tau=1.0, u=0.0, v=0.0)
         for report in verify_commutator_bounds(ring4, params):
             assert report["exact"] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestCommutatorGrid:
+    """One call checks a lattice's whole (U, V) grid on one set of blocks."""
+
+    GRID = [ModelParams("extended_hubbard", tau=1.0, u=u, v=v)
+            for u in (0.0, 2.0, 4.0) for v in (0.0, 2.0, 4.0)]
+
+    def test_grid_equals_one_point_calls(self, ring6, monkeypatch):
+        real = oracle._block
+        builds = []
+        monkeypatch.setattr(oracle, "_block",
+                            lambda *args: builds.append(1) or real(*args))
+        single = [verify_commutator_bounds(ring6, p) for p in self.GRID]
+        per_point = len(builds) // len(self.GRID)
+        builds.clear()
+        grid = verify_commutator_bounds(ring6, *self.GRID)
+        assert grid == [r for reports in single for r in reports]
+        assert [r["instance"] for r in grid[::3]] == [
+            f"ring/N=6 U={p.u} V={p.v}" for p in self.GRID]
+        # each block is built once and serves the whole grid
+        assert len(builds) == per_point > 0
+
+    def test_mixed_tau_is_refused(self, ring4):
+        other = ModelParams("extended_hubbard", tau=0.5, u=2.0, v=1.0)
+        with pytest.raises(ValueError, match="share one tau"):
+            verify_commutator_bounds(ring4, self.GRID[0], other)
+        with pytest.raises(ValueError, match="share one tau"):
+            verify_commutator_bounds(ring4)
 
 
 class TestBlockCommutators:
@@ -727,7 +759,11 @@ class TestMomentumBlocks:
         # the sections are alternate edges of the cycle 0-1-2-5-4-3: the
         # shifts by 1 and 3 swap them, the shift by 2 keeps each
         maps = oracle._symmetry_maps(hexagon)
-        assert oracle._cycle_order(hexagon) == [0, 1, 2, 5, 4, 3]
+        (rotation,) = symmetry_generators(hexagon)
+        cycle = [0]
+        while len(cycle) < 6:
+            cycle.append(int(rotation[cycle[-1]]))
+        assert cycle == [0, 1, 2, 5, 4, 3]
         shifts = dict(zip((1, 2, 3), maps[3:]))
         hop = jw_hopping(hexagon, 1.0).compile()
         sections = [oracle.jw_section(hexagon, hexagon_cover, s, 1.0).compile()
@@ -829,6 +865,23 @@ class TestMomentumBlocks:
                                                  abs=0.0)
 
 
+class TestFreeFermionNorm:
+    def test_torus_keeps_its_translations(self, monkeypatch):
+        # spin flip, particle-hole, their product and the two cell
+        # translations, of order 2: 130 blocks, the largest 980 states,
+        # against 34 blocks of up to 3,920 states without the translations
+        torus = build_periodic_hex(2, 2)
+        assert len(oracle._symmetry_maps(torus)) == 5
+        # warm: the bound's own eigensolve is memoized
+        oracle._adjacency_schatten1(torus)
+        calls = TestSectorSymmetries.count_calls(monkeypatch, "eigvalsh")
+        report = verify_ff_norm(torus)
+        assert len(calls) == 130
+        assert max(n for n, _ in calls) == 980
+        assert report["pass"]
+        assert report["exact"] == pytest.approx(12.0, rel=1e-12)
+
+
 class TestTransientMemory:
     """The tracemalloc peak of one warm hexagon check: a block's matrices
     are built where they are consumed and freed before the next solve, the
@@ -889,6 +942,34 @@ class TestSuite:
     def test_fast_suite_passes(self):
         reports = run_suite("fast")
         assert reports and all(r["pass"] for r in reports)
+
+    def test_full_suite_shape(self, monkeypatch):
+        # every check of the full suite in order, with its pass flag; the
+        # sectors are built once per lattice and operator family
+        expected = [("tile_evolution", f"{k} tau=1.0 t={t}")
+                    for k in ("S1", "S2", "C4", "S4") for t in (0.1, 0.5, 1.0)]
+        expected += [(f"rule{i}", "3 sites") for i in (
+            "1_distinct_orbitals", "2_same_pair", "3_shared_forward",
+            "4_shared_reverse")]
+        expected += [("chemical_shift_onsite", "N=4 eta=2 U=4.0"),
+                     ("chemical_shift_neighbor", "N=4 eta=2 V=2.0 k=2"),
+                     ("chemical_shift_onsite", "N=6 eta=3 U=4.0"),
+                     ("ff_norm", "ring/N=4"), ("ff_norm", "hex_fragment/N=6")]
+        expected += [(check, f"{lat} U={u} V={v}")
+                     for lat in ("ring/N=4", "ring/N=6", "hex_fragment/N=6")
+                     for u in (0.0, 2.0, 4.0) for v in (0.0, 2.0, 4.0)
+                     for check in ("comm_CHC", "comm_IHH", "comm_VHH")]
+        expected += [("trotter_step", f"t={t}") for t in (0.05, 0.1, 0.2)]
+        real = oracle._spin_sectors
+        calls = []
+        monkeypatch.setattr(oracle, "_spin_sectors", lambda *args:
+                            calls.append(args[0].kind) or real(*args))
+        reports = run_suite("full")
+        assert len(expected) == 105
+        assert [(r["check"], r["instance"]) for r in reports] == expected
+        assert [bool(r["pass"]) for r in reports] == [True] * 105
+        assert calls == ["ring", "hex_fragment", "ring", "ring",
+                         "hex_fragment", "hex_fragment"]
 
     def test_level_guard(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import pytest
 
+from fthub import cli
+from fthub.lattice import build_periodic_hex
+from fthub.oracle import jw_hopping, jw_onsite
 from fthub.qubitization import (element_ledger, lambda_hubbard, ledger_prepare_t,
                                 prepare_cost, reflection_cost, select_cost,
                                 two_adic_valuation, walk_costs, walk_qubits)
@@ -14,6 +17,29 @@ class TestLambda:
 
     def test_onsite_only(self):
         assert lambda_hubbard(40, 0.0, 8.0) == pytest.approx(80.0)
+
+    @pytest.mark.parametrize("tau,u", [(1.0, 4.0), (0.7, 3.0)])
+    def test_coefficient_norm_of_the_operator(self, tau, u):
+        # the 1-norm of the Jordan-Wigner coefficients, identity excluded,
+        # on the 2 x 2 torus; at (0.7, 3) the sum and the closed form may
+        # differ in the last bit, so no exact equality
+        torus = build_periodic_hex(2, 2)
+        op = jw_hopping(torus, tau) + jw_onsite(torus, u)
+        norm = sum(abs(c) for key, c in op.terms.items() if key != (0, 0))
+        assert norm == pytest.approx(lambda_hubbard(8, tau, u), rel=1e-12,
+                                     abs=0.0)
+
+    @pytest.mark.parametrize("tau,u", [(1.0, 4.0), (0.7, 3.0)])
+    def test_edge_count_over_the_default_sweep(self, tau, u):
+        # each bond carries an XX and a YY term of weight tau / 2 per spin,
+        # each site one U / 4 ZZ term
+        sweep = range(4, cli.build_parser().parse_args(["qpe"]).L + 1, 2)
+        assert list(sweep) == [4, 6, 8, 10, 12, 14, 16, 18]
+        for l in sweep:
+            lattice = build_periodic_hex(l, l)
+            n = lattice.n_sites
+            assert 2 * tau * lattice.n_edges + u / 4 * n == pytest.approx(
+                lambda_hubbard(n, tau, u), rel=1e-12, abs=0.0)
 
 
 class TestSelect:

@@ -9,7 +9,7 @@ from conftest import (PARALLELOGRAM_CELLS, loop_build_periodic_hex,
                       loop_cover_periodic_hex, loop_validate_cover)
 from fthub.lattice import (LatticeGraph, SiteInfo, build_hex_fragment,
                            build_periodic_hex, build_square_fragment,
-                           lattice_to_json, single_hexagon)
+                           lattice_to_json, ring_lattice, single_hexagon)
 from fthub.tiling import (CoverError, Section, SectionCover, Tile, chain_rotation,
                           cover_from_json, cover_hex_fragment, cover_periodic_hex,
                           cover_tile_census, cover_to_json, tile_catalog,
@@ -128,6 +128,13 @@ class TestFragmentCover:
         report = validate_cover(lat, cover)
         assert report.valid, report.violations
         assert cover.n_sections <= 4
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_ring_is_covered(self, n):
+        lat = ring_lattice(n)
+        cover = cover_hex_fragment(lat)
+        assert validate_cover(lat, cover).valid
+        assert sum(len(s.tiles) for s in cover.sections) == n
 
     @pytest.mark.parametrize("l", range(4, 11))
     def test_square_fragment_opens_a_fifth_section(self, l):
