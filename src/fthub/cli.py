@@ -26,7 +26,8 @@ import sys
 from . import qpe, refdata
 from .gatecount import step_cost_fragment
 from .lattice import (build_hex_fragment, build_periodic_hex,
-                      build_square_fragment, lattice_to_json)
+                      build_square_fragment, check_lattice_memory,
+                      lattice_to_json)
 from .oracle import run_suite
 from .qpe import crossover_sweep, hubbard_step, rows_to_csv
 from .qubitization import check_rotation_costs
@@ -160,6 +161,7 @@ def cmd_qpe(args) -> int:
     fixed_eps = args.eps * args.tau
     qpe.check_eps(fixed_eps)
     check_rotation_costs(args.theta, args.gamma)
+    check_lattice_memory(2 * max(args.L, 0) ** 2)
     l_values = tuple(range(4, args.L + 1, 2))
     w_by_n = _w_by_n(args.model, l_values, args.U, args.V, args.tau)
     rows = []

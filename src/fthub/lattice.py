@@ -11,17 +11,21 @@ Hexagonal fragments are described by a list of hexagon cells; sites and
 bonds are inherited from the infinite lattice, which guarantees that every
 site belongs to at least one complete hexagonal face.
 
-A lattice is stored as its edge list: the sorted tuple of distinct bonds
-(i, j) with i < j, checked on entry as the ascending array of codes
-i * N + j.  Degrees, neighbor lists and the edge count are computed from
-them, so memory grows with the number of bonds, not with N^2.  The dense
-N x N adjacency matrix is derived on request, for small lattices only.
+A lattice is stored as the ascending array of codes i * N + j of its
+distinct bonds (i, j), i < j, checked on entry.  Degrees, neighbor lists
+and the edge count are computed from them, so memory grows with the number
+of bonds, not with N^2.  The ``edges`` tuple and the ``SiteInfo`` objects
+of a periodic lattice are derived on first read; the estimator never reads
+them.  The dense N x N adjacency matrix is derived on request, for small
+lattices only.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,55 +43,60 @@ class SiteInfo:
     role: str           # "center" (degree 3) or "edge" (degree 2)
 
 
-@dataclass(frozen=True, eq=False)
 class LatticeGraph:
-    n_sites: int
-    edges: tuple                   # sorted distinct (i, j) pairs, i < j
-    site_info: tuple
-    kind: str                      # periodic_hex | hex_fragment | square_fragment | ring | custom
-    dims: tuple | None = None      # (L_x, L_y) for periodic builds
-    # code i * n_sites + j of each edge, ascending; set by the edge check
-    edge_codes: np.ndarray = field(init=False, repr=False)
+    """A lattice of ``n_sites`` sites, stored as the ascending codes
+    i * n_sites + j of its bonds (i, j), i < j.
 
-    def __post_init__(self):
+    Built from an ``edges`` tuple of (i, j) pairs, or from ``edge_codes``
+    directly; either is checked on entry.  The ``edges`` tuple is derived
+    from the codes on first read, and so is ``site_info`` of a lattice
+    built without it (a ``periodic_hex`` lattice, whose sites follow from
+    ``dims``)."""
+
+    def __init__(self, n_sites: int, edges=None, site_info=None,
+                 kind: str = "custom", dims=None, *, edge_codes=None):
+        self.n_sites, self.kind, self.dims = n_sites, kind, dims
+        if site_info is not None:
+            self.site_info = site_info
+        if edge_codes is None:
+            self.edges = edges
+            edge_codes = _edge_codes(edges, n_sites)
+        self.edge_codes = _checked_codes(edge_codes, n_sites)
+
+    def __repr__(self):
+        return (f"LatticeGraph(n_sites={self.n_sites}, n_edges={self.n_edges}, "
+                f"kind={self.kind!r}, dims={self.dims!r})")
+
+    @functools.cached_property
+    def edges(self) -> tuple:
+        """Sorted distinct (i, j) pairs, i < j."""
+        head, tail = self.edge_ends()
+        return tuple(zip(head.tolist(), tail.tolist()))
+
+    @functools.cached_property
+    def site_info(self) -> tuple:
+        """One ``SiteInfo`` per site; derived from ``dims`` for a
+        ``periodic_hex`` lattice, where every site is a center site."""
+        if self.kind != "periodic_hex":
+            raise LatticeError(f"a {self.kind} lattice needs its site_info")
+        l_x, _ = self.dims
         n = self.n_sites
-        try:
-            pairs = np.asarray(self.edges)
-        except ValueError:       # ragged; the walk below names the bad edge
-            pairs = np.zeros(0)
-        in_range = False
-        if pairs.shape == (len(self.edges), 2) and pairs.dtype.kind in "iu":
-            i, j = pairs.astype(np.int64).T
-            in_range = not len(i) or (int(i.min()) >= 0 and int((j - i).min()) > 0
-                                      and int(j.max()) < n)
-        if not in_range:
-            # name the first bad edge; edges that pass (none, or bools) are
-            # checked for order below
-            for i, j in self.edges:
-                if not (isinstance(i, (int, np.integer))
-                        and isinstance(j, (int, np.integer)) and 0 <= i < j < n):
-                    raise LatticeError(f"edge ({i}, {j}) needs integers "
-                                       f"0 <= i < j < {n}")
-            i, j = _edge_array(self.edges).T
-        # the codes order the pairs as tuples do: a step that is not
-        # positive is an unsorted or repeated edge
-        codes = i * n + j
-        if len(codes) > 1 and int(np.diff(codes).min()) <= 0:
-            raise LatticeError("edges must be sorted and distinct")
-        object.__setattr__(self, "edge_codes", codes)
+        cell, color = np.divmod(np.arange(n), 2)
+        return tuple(map(SiteInfo, range(n), (cell % l_x).tolist(),
+                         (cell // l_x).tolist(), color.tolist(), ["center"] * n))
 
     @property
     def adjacency(self) -> np.ndarray:
-        """Dense N x N 0/1 adjacency matrix, built from ``edges`` on every
+        """Dense N x N 0/1 adjacency matrix, built from the edges on every
         access; meant for small lattices (exact checks, dense references)."""
         adj = np.zeros((self.n_sites, self.n_sites), dtype=np.int64)
-        i, j = _edge_array(self.edges).T
+        i, j = self.edge_ends()
         adj[i, j] = adj[j, i] = 1
         return adj
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_codes)
 
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate(self.edge_ends()), minlength=self.n_sites)
@@ -101,6 +110,10 @@ class LatticeGraph:
     def edge_ends(self) -> tuple:
         """(i, j) arrays of the edges, in edge order."""
         return np.divmod(self.edge_codes, max(self.n_sites, 1))
+
+    def edge_array(self) -> np.ndarray:
+        """(E, 2) int64 array of the edges, in edge order."""
+        return np.stack(self.edge_ends(), axis=1)
 
     def edge_positions(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Index in ``edges`` of each site pair (i, j) with i <= j, or -1
@@ -124,6 +137,46 @@ class LatticeGraph:
     @property
     def n_edge_sites(self) -> int:
         return sum(1 for s in self.site_info if s.role == "edge")
+
+
+def _edge_codes(edges, n: int) -> np.ndarray:
+    """Codes i * n + j of the (i, j) pairs ``edges``; LatticeError names the
+    first pair that is not integers 0 <= i < j < n."""
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:           # ragged; the walk below names the bad edge
+        pairs = np.zeros(0)
+    in_range = False
+    if pairs.shape == (len(edges), 2) and pairs.dtype.kind in "iu":
+        i, j = pairs.astype(np.int64).T
+        in_range = not len(i) or (int(i.min()) >= 0 and int((j - i).min()) > 0
+                                  and int(j.max()) < n)
+    if not in_range:
+        # name the first bad edge; edges that pass (none, or bools) are
+        # checked for order by ``_checked_codes``
+        for i, j in edges:
+            if not (isinstance(i, (int, np.integer))
+                    and isinstance(j, (int, np.integer)) and 0 <= i < j < n):
+                raise LatticeError(f"edge ({i}, {j}) needs integers "
+                                   f"0 <= i < j < {n}")
+        i, j = _edge_array(edges).T
+    return i * n + j
+
+
+def _checked_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    """``codes`` as a read-only int64 array, checked to be the ascending
+    codes i * n + j of bonds 0 <= i < j < n.  The codes order the pairs as
+    tuples do: a step that is not positive is an unsorted or repeated edge."""
+    codes = np.array(codes, dtype=np.int64)
+    if codes.ndim != 1:
+        raise LatticeError("edge codes must be a 1-d array")
+    i, j = np.divmod(codes, max(n, 1))
+    if len(codes) and (int(codes.min()) < 0 or int((j - i).min()) <= 0):
+        raise LatticeError(f"edge codes must encode pairs 0 <= i < j < {n}")
+    if len(codes) > 1 and int(np.diff(codes).min()) <= 0:
+        raise LatticeError("edges must be sorted and distinct")
+    codes.flags.writeable = False
+    return codes
 
 
 def _edge_array(edges) -> np.ndarray:
@@ -171,6 +224,26 @@ def hex_site_index(l: int, m: int, c: int, l_x: int, l_y: int) -> int:
     return 2 * ((l % l_x) + (m % l_y) * l_x) + c
 
 
+# bytes per site that building a lattice takes at least: the periodic
+# builder peaks at about 132 (its edge codes, as Python ints and as arrays,
+# while they are sorted), the square-fragment builder at about 600
+SITE_BYTES = 128
+
+
+def check_lattice_memory(n_sites: int):
+    """Raise ``LatticeError`` when a lattice of ``n_sites`` sites cannot fit
+    in the machine's physical memory at ``SITE_BYTES`` per site; the check
+    is skipped where the operating system does not report that memory."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if n_sites * SITE_BYTES > memory:
+        raise LatticeError(f"a lattice of {n_sites} sites needs at least "
+                           f"{n_sites * SITE_BYTES / 2**30:.3g} GiB, more than "
+                           f"the {memory / 2**30:.3g} GiB of this machine")
+
+
 def check_periodic_dims(l_x: int, l_y: int):
     """Raise ``LatticeError`` unless an l_x x l_y periodic hexagonal lattice
     exists."""
@@ -183,21 +256,19 @@ def build_periodic_hex(l_x: int, l_y: int) -> LatticeGraph:
     """Periodic hexagonal lattice with 2 * l_x * l_y sites, 3-regular."""
     check_periodic_dims(l_x, l_y)
     n = 2 * l_x * l_y
-    cell, color = np.divmod(np.arange(n), 2)
-    info = tuple(map(SiteInfo, range(n), (cell % l_x).tolist(),
-                     (cell // l_x).tolist(), color.tolist(), ["center"] * n))
+    check_lattice_memory(n)
     # the color-0 site of each cell is bonded to the color-1 sites of the
     # cell and of its -x and -y neighbors
     m, l = np.divmod(np.arange(l_x * l_y), l_x)
     head = hex_site_index(l, m, 0, l_x, l_y)
     tail = np.stack([hex_site_index(l + dl, m + dm, 1, l_x, l_y)
                      for dl, dm in ((0, 0), (-1, 0), (0, -1))])
-    # each bond once, as the code i * n + j of i < j, in ascending order
-    codes = sorted(set((np.minimum(head, tail) * n
-                        + np.maximum(head, tail)).ravel().tolist()))
-    head, tail = np.divmod(np.array(codes, dtype=np.int64), n)
-    edges = tuple(zip(head.tolist(), tail.tolist()))
-    return LatticeGraph(n, edges, info, "periodic_hex", (l_x, l_y))
+    # each bond once (the three tails of a head differ on every torus of
+    # at least 2 x 2 cells), as the code i * n + j of i < j, ascending
+    codes = sorted((np.minimum(head, tail) * n
+                    + np.maximum(head, tail)).ravel().tolist())
+    return LatticeGraph(n, kind="periodic_hex", dims=(l_x, l_y),
+                        edge_codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +363,7 @@ def build_square_fragment(width: int, height: int) -> LatticeGraph:
     if width < 2 or height < 2:
         raise LatticeError("square fragment needs width, height >= 2")
     n = width * height
+    check_lattice_memory(n)
     pairs = []
     info = []
     for y in range(height):
@@ -358,7 +430,7 @@ def lattice_to_json(lattice: LatticeGraph) -> str:
         "dims": list(lattice.dims) if lattice.dims else None,
         "sites": [{"i": s.index, "l_x": s.l_x, "l_y": s.l_y, "c": s.color,
                    "role": s.role} for s in lattice.site_info],
-        "edges": [[int(i), int(j)] for i, j in lattice.edges],
+        "edges": lattice.edge_array().tolist(),
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 

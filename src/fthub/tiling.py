@@ -16,6 +16,7 @@ with a 4 x 2 cell supercell and exists for all even lattice dimensions.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -121,10 +122,114 @@ class Tile:
                             for a, b in _CATALOG[self.kind].local_edges))
 
 
-@dataclass(frozen=True)
 class Section:
-    color: str
-    tiles: tuple
+    """A colour and its tiles, held in the form they were built in: a tuple
+    of ``Tile`` objects, or ``runs``, each a tile kind and the (T, q) int64
+    site array of T consecutive tiles of that kind, one tile per row (what
+    ``cover_periodic_hex`` builds).  Either form is derived from the other
+    on first read.
+
+    Equality and hashing read ``key``, the colour and the content of the
+    runs, so equal tiles in equal order give equal sections whichever form
+    holds them."""
+
+    def __init__(self, color: str, tiles=None, *, runs=None):
+        self.color = color
+        if runs is None:
+            self.tiles = tuple(tiles)
+        else:
+            self.runs = _merged_runs(runs)
+
+    def __repr__(self):
+        return f"Section(color={self.color!r}, n_tiles={self.n_tiles})"
+
+    @property
+    def n_tiles(self) -> int:
+        runs = vars(self).get("runs")
+        if runs is not None:
+            return sum(len(sites) for _, sites in runs)
+        return len(self.tiles)
+
+    def __eq__(self, other):
+        return isinstance(other, Section) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    @functools.cached_property
+    def tiles(self) -> tuple:
+        return tuple(Tile(kind, sites) for kind, arr in self.runs
+                     for sites in map(tuple, arr.tolist()))
+
+    @functools.cached_property
+    def runs(self):
+        """Maximal runs of consecutive tiles with one kind and one site
+        count, as (kind, (T, q) read-only int64 site array) pairs; None when
+        some site is not an integer."""
+        sites = [i for t in self.tiles for i in t.sites]
+        if not (set(map(type, sites)) <= {int}
+                or all(isinstance(i, (int, np.integer))
+                       and not isinstance(i, bool) for i in sites)):
+            return None
+        runs = []
+        for (kind, q), group in groupby(self.tiles,
+                                        key=lambda t: (t.kind, len(t.sites))):
+            group = [t.sites for t in group]
+            try:
+                runs.append((kind, np.array(group, dtype=np.int64)
+                             .reshape(len(group), q)))
+            except OverflowError:       # a site past the int64 range
+                return None
+        return _merged_runs(runs)
+
+    @functools.cached_property
+    def key(self) -> tuple:
+        """The colour and, per run, the kind, shape and site bytes; the
+        colour and the tiles when ``runs`` is None."""
+        if self.runs is None:
+            return self.color, self.tiles
+        return self.color, tuple((kind, arr.shape, arr.tobytes())
+                                 for kind, arr in self.runs)
+
+    def rows(self) -> list:
+        """(kind, site list) of each tile in order, read from the runs when
+        the section holds them, without building ``Tile`` objects."""
+        runs = vars(self).get("runs")
+        if runs is not None:
+            return [(kind, row) for kind, arr in runs for row in arr.tolist()]
+        return [(t.kind, list(t.sites)) for t in self.tiles]
+
+    def edge_array(self) -> np.ndarray:
+        """(E, 2) int64 array of the lattice edges (min, max) of every tile,
+        run by run and tile by tile.  Needs integer sites and catalog kinds."""
+        if self.runs is None:
+            raise CoverError(f"section {self.color} has a site that is not "
+                             f"an integer")
+        parts = [np.zeros((0, 2), dtype=np.int64)]
+        for kind, arr in self.runs:
+            a, b = np.array(tile_catalog(kind).local_edges).reshape(-1, 2).T
+            parts.append(np.stack([np.minimum(arr[:, a], arr[:, b]).ravel(),
+                                   np.maximum(arr[:, a], arr[:, b]).ravel()],
+                                  axis=1))
+        return np.concatenate(parts)
+
+
+def _merged_runs(runs) -> tuple:
+    """``runs`` as read-only int64 arrays, empty runs dropped and adjacent
+    runs of one kind and one site count joined, so that equal tiles give
+    equal runs."""
+    merged: list = []
+    for kind, arr in runs:
+        arr = np.array(arr, dtype=np.int64)
+        if arr.ndim != 2:
+            raise CoverError(f"a run of {kind} tiles needs a (T, q) site array")
+        if not len(arr):
+            continue
+        if merged and (merged[-1][0], merged[-1][1].shape[1]) == (kind, arr.shape[1]):
+            arr = np.concatenate([merged.pop()[1], arr])
+        arr.flags.writeable = False
+        merged.append((kind, arr))
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -174,13 +279,10 @@ def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
     other[::2] = np.stack([s(0, 0, 1), s(1, 0, 0), s(0, 1, 0)], axis=1)[::2]
     parity = (m + l // 2 + l) % 2
 
-    def tiles(rows):
-        return tuple(Tile("S2", sites) for sites in zip(*rows.T.tolist()))
-
     cover = SectionCover(lattice, (
-        Section("blue", tiles(other[np.flatnonzero(parity)])),
-        Section("red", tiles(red)),
-        Section("gold", tiles(other[np.flatnonzero(1 - parity)]))))
+        Section("blue", runs=[("S2", other[np.flatnonzero(parity)])]),
+        Section("red", runs=[("S2", red)]),
+        Section("gold", runs=[("S2", other[np.flatnonzero(1 - parity)])])))
     report = validate_cover(lattice, cover)
     if not report.valid:
         raise CoverError("periodic cover construction failed: "
@@ -266,38 +368,40 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
 
     A valid cover is decided from sums and extremes of the arrays; the
     entries that fail are located, and their messages built, only when a
-    check fails."""
+    check fails.  A section that holds runs is read from its arrays, any
+    other from its ``Tile`` objects; both give the same columns."""
     n = lattice.n_sites
-    tiles = [t for sec in cover.sections for t in sec.tiles]
-    section = np.repeat(np.arange(len(cover.sections)),
-                        [len(sec.tiles) for sec in cover.sections])
-    sites = [t.sites for t in tiles]
-    size = np.fromiter(map(len, sites), dtype=np.int64, count=len(tiles))
+    kinds: dict = {}     # kind name -> index, in first-seen order
+    kind_of, size, flat, valid, count = _tile_columns(cover, kinds, n)
+    n_tiles = len(size)
+    section = np.repeat(np.arange(len(cover.sections)), count)
+    first = np.cumsum(count) - count
     offset = np.cumsum(size) - size
-    flat, valid = _site_indices(list(chain.from_iterable(sites)), n)
-    kind_names = [t.kind for t in tiles]
-    kinds = {kind: k for k, kind in enumerate(dict.fromkeys(kind_names))}
-    member = np.zeros((len(kinds), len(tiles)), dtype=bool)
-    member[list(map(kinds.__getitem__, kind_names)), np.arange(len(tiles))] = True
+    member = np.zeros((len(kinds), n_tiles), dtype=bool)
+    member[kind_of, np.arange(n_tiles)] = True
+
+    def sites_of(p):
+        """Sites of tile p as its section holds them, for a message."""
+        s = int(section[p])
+        return cover.sections[s].tiles[p - int(first[s])].sites
 
     early: dict = {}     # tile -> the one violation that ends its checks
     absent: dict = {}    # tile -> its sorted edges absent from the lattice
-    checked = np.zeros(len(tiles), dtype=bool)
+    checked = np.zeros(n_tiles, dtype=bool)
     found = []           # lattice edge of each checked tile edge, or -1
     for kind, row in zip(kinds, member):
         pos = np.flatnonzero(row)
         tmpl = _CATALOG.get(kind)
         if tmpl is None:
-            early.update((p, f"unknown tile kind {tiles[p].kind}")
-                         for p in pos.tolist())
+            early.update((p, f"unknown tile kind {kind}") for p in pos.tolist())
             continue
         resized = ~_equal(size[pos], tmpl.n_sites)
-        early.update((p, f"{tiles[p].kind} tile has {len(sites[p])} sites")
+        early.update((p, f"{kind} tile has {size[p]} sites")
                      for p in pos[resized].tolist())
         pos = pos[~resized]
         entries = offset[pos][:, None] + np.arange(tmpl.n_sites)
         missing = ~valid[entries].all(axis=1)
-        early.update((p, f"tile references missing site: {sites[p]}")
+        early.update((p, f"tile references missing site: {sites_of(p)}")
                      for p in pos[missing].tolist())
         pos, arr = pos[~missing], flat[entries[~missing]]
         checked[pos] = True
@@ -318,7 +422,7 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
     # site twice, in one tile or in two, and is walked tile by tile
     held = np.repeat(checked, size)
     site = flat[held]
-    tile = np.repeat(np.arange(len(tiles)), size)[held]
+    tile = np.repeat(np.arange(n_tiles), size)[held]
     ends = np.cumsum(np.bincount(section[tile], minlength=len(cover.sections)))
     owner = np.full(n, -1)
     repeats: set = set()
@@ -345,7 +449,7 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
             violations.append(early[p])
             continue
         if p in repeats:
-            violations.append(f"tile repeats a site: {sites[p]}")
+            violations.append(f"tile repeats a site: {sites_of(p)}")
         violations.extend(f"tile edge ({i},{j}) absent from lattice"
                           for i, j in absent.get(p, ()))
         if p in overlap:
@@ -368,6 +472,41 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
         violations.extend(f"edge {lattice.edges[e]} not covered"
                           for e in np.flatnonzero(covered == 0).tolist())
     return CoverReport(not violations, violations)
+
+
+def _tile_columns(cover: SectionCover, kinds: dict, n: int) -> tuple:
+    """Per tile of ``cover`` in order, its kind (an index into ``kinds``,
+    which is extended in first-seen order) and its site count; the sites of
+    all tiles flattened, and the mask of those that are site indices of an
+    n-site lattice (the others read 0); and the tile count of each section.
+    A section's runs are read where it holds them, its ``Tile`` objects
+    otherwise."""
+    parts: list = []
+    count = []
+    for sec in cover.sections:
+        runs = vars(sec).get("runs")
+        if runs is None:
+            tiles = sec.tiles
+            sites = [t.sites for t in tiles]
+            parts.append((
+                np.array([kinds.setdefault(t.kind, len(kinds)) for t in tiles],
+                         dtype=np.int64),
+                np.fromiter(map(len, sites), dtype=np.int64, count=len(tiles)),
+                *_site_indices(list(chain.from_iterable(sites)), n)))
+        else:
+            for kind, arr in runs:
+                t, q = arr.shape
+                flat = arr.ravel()
+                valid = np.ones(len(flat), dtype=bool)
+                if t * q and (int(flat.min()) < 0 or int(flat.max()) >= n):
+                    valid = _equal(np.clip(flat, 0, n - 1), flat)
+                    flat = flat * valid
+                parts.append((np.repeat(kinds.setdefault(kind, len(kinds)), t),
+                              np.repeat(q, t), flat, valid))
+        count.append(sec.n_tiles)
+    empty = (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
+    return (*(np.concatenate(column) for column in zip(empty, *parts)),
+            np.array(count, dtype=np.int64))
 
 
 def _site_indices(sites: list, n: int) -> tuple:
@@ -395,8 +534,8 @@ def cover_tile_census(cover: SectionCover) -> list:
 
 def cover_to_json(cover: SectionCover) -> str:
     doc = {"sections": [{"color": sec.color,
-                         "tiles": [{"kind": t.kind, "sites": list(t.sites)}
-                                   for t in sec.tiles]}
+                         "tiles": [{"kind": kind, "sites": sites}
+                                   for kind, sites in sec.rows()]}
                         for sec in cover.sections]}
     return json.dumps(doc, indent=1, sort_keys=True)
 

@@ -32,11 +32,13 @@ memoized per process: (T12, T24) of a cover, |R|_1 of a lattice, and the
 raw star values (k, |S_k|_1, |i[S_k, R]|_1 and the maxima over the
 (k-1)-edge stars).  Each sits in a private ``functools.lru_cache`` of
 ``_GEOMETRY_MEMO_SIZE`` entries, keyed by the content the norm reads: the
-lattice's (kind, dims, n_sites, edges) and, for a cover, also its ordered
-sections.  Lattices and covers built separately with equal content share an
-entry.  The memo holds floats only; the tau scaling is applied after the
-lookup with the expressions of the unmemoized code, so every output is
-bit-identical to a cold evaluation.
+lattice's (kind, dims, n_sites) and the bytes of its edge codes and, for a
+cover, also each section's ``key`` (colour, tile kinds and site bytes) in
+section order.  Lattices and covers built separately with equal content
+share an entry, whichever constructor built them.  The memo holds floats
+only; the tau scaling is applied after the lookup with the expressions of
+the unmemoized code, so every output is bit-identical to a cold
+evaluation.
 
 On 3-regular lattices the neighbor-interaction bound is pinned to the
 tabulated constant 3*V*tau^2*N*(16 + 2*sqrt(3)) that the reference
@@ -133,7 +135,8 @@ class _Geometry:
 
 
 def _lattice_key(lattice: LatticeGraph) -> tuple:
-    return (lattice.kind, lattice.dims, lattice.n_sites, lattice.edges)
+    return (lattice.kind, lattice.dims, lattice.n_sites,
+            lattice.edge_codes.tobytes())
 
 
 def _memoized(memo, key, obj):
@@ -157,7 +160,7 @@ def _adjacency_schatten1(lattice: LatticeGraph) -> float:
 @functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
 def _adjacency_norm(geometry: _Geometry) -> float:
     lattice = geometry.obj
-    return schatten1(translation_blocks(lattice, [lattice.edges]))
+    return schatten1(translation_blocks(lattice, [lattice.edge_array()]))
 
 
 def w_so2_hubbard(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBreakdown:
@@ -305,7 +308,8 @@ def w_h(cover: SectionCover, tau: float) -> float:
     products.
     """
     t12, t24 = _memoized(_section_sums, (_lattice_key(cover.lattice),
-                                         cover.sections), cover)
+                                         tuple(sec.key for sec in cover.sections)),
+                         cover)
     return tau**3 * (t12 / 12.0 + t24 / 24.0)
 
 
@@ -313,9 +317,8 @@ def w_h(cover: SectionCover, tau: float) -> float:
 def _section_sums(geometry: _Geometry) -> tuple:
     """(T12, T24) of the cover ``geometry.obj``; see ``w_h``."""
     cover = geometry.obj
-    blocks = translation_blocks(
-        cover.lattice, [[e for tile in sec.tiles for e in tile.edges]
-                        for sec in cover.sections])
+    blocks = translation_blocks(cover.lattice,
+                                [sec.edge_array() for sec in cover.sections])
     t12 = t24 = 0.0
     m = len(blocks)
     for b in range(m):

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -348,6 +349,24 @@ class TestSmallCommands:
                         "--cells", "[[0,0]]", "--model", "ppp",
                         "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice"], ["cover"], ["bounds"], ["gates"], ["qpe"],
+        ["lattice", "--lattice", "square_fragment"]])
+    def test_oversized_lattice_exit_2_before_allocating(self, capsys, argv):
+        # 10^10 sites or more: the size is refused from the site count and
+        # the machine's memory, before any array is allocated
+        tracemalloc.start()
+        try:
+            code = run_cli(argv + ["--L", "100000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sites needs at least" in err
+        assert peak < 2**20
 
 
 # the options every subcommand took before each took only what it reads

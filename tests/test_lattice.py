@@ -12,6 +12,7 @@ from fthub.lattice import (LatticeError, LatticeGraph, SiteInfo,
                            build_square_fragment, degree_histogram,
                            lattice_from_json, lattice_to_json, regular_degree,
                            ring_lattice, single_hexagon, symmetry_generators)
+from fthub.tiling import Tile, cover_periodic_hex
 from conftest import CHEVRON_CELLS, PARALLELOGRAM_CELLS
 
 HEX44_SHA = "2baddd80280a6a6a8bd0c82827d767782249b954ea671c2272558054264ec0f0"
@@ -273,6 +274,42 @@ class TestEdgeList:
     def test_edge_check_accepts_integer_pairs(self, edges):
         lattice = LatticeGraph(3, edges, _sites(3), "custom")
         assert lattice.edge_codes.tolist() == [3 * i + j for i, j in edges]
+
+    @pytest.mark.parametrize("codes", [[5, 1], [1, 1], [3], [-1], [4, 8, 9]],
+                             ids=["unsorted", "repeated", "reversed", "negative",
+                                  "self_loop"])
+    def test_bad_edge_codes_rejected(self, codes):
+        # codes of a 3-site lattice: 3 i + j with 0 <= i < j < 3
+        with pytest.raises(LatticeError):
+            LatticeGraph(3, kind="custom", edge_codes=codes)
+
+    def test_codes_and_tuple_build_the_same_lattice(self):
+        lattice = LatticeGraph(3, ((0, 1), (0, 2), (1, 2)), _sites(3))
+        from_codes = LatticeGraph(3, edge_codes=[1, 2, 5])
+        assert from_codes.edges == lattice.edges
+        assert from_codes.edge_codes.tobytes() == lattice.edge_codes.tobytes()
+        assert not lattice.edge_codes.flags.writeable
+        with pytest.raises(LatticeError, match="site_info"):
+            from_codes.site_info
+
+    def test_periodic_bounds_build_no_site_or_tile_objects(self, monkeypatch,
+                                                          tmp_path):
+        made: dict = {}
+        for cls in (SiteInfo, Tile):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+                made[_name] = made.get(_name, 0) + 1
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        out = str(tmp_path / "out")
+        for model in ("hubbard", "extended_hubbard"):
+            assert cli.main(["bounds", "--L", "22", "--model", model,
+                             "--out", out]) == 0
+        assert made == {}
+        # the counters see what the derived views build
+        lattice = build_periodic_hex(4, 4)
+        assert len(lattice.site_info) == 32
+        assert len(cover_periodic_hex(lattice).sections[0].tiles) == 8
+        assert made == {"SiteInfo": 32, "Tile": 8}
 
     def test_periodic_commands_build_no_dense_matrix(self, monkeypatch, tmp_path):
         # at L = 20 (800 sites) every periodic command works from the edges

@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -261,8 +262,10 @@ class TestArrayBuilders:
         assert lattice_to_json(lattice) == lattice_to_json(reference)
         assert {type(i) for edge in lattice.edges for i in edge} == {int}
         cover, expected = cover_periodic_hex(lattice), loop_cover_periodic_hex(reference)
-        assert cover.sections == expected.sections
         assert cover_to_json(cover) == cover_to_json(expected)
+        assert cover.sections == expected.sections
+        assert ([(sec.color, sec.tiles) for sec in cover.sections]
+                == [(sec.color, sec.tiles) for sec in expected.sections])
         assert {type(i) for sec in cover.sections for tile in sec.tiles
                 for i in tile.sites} == {int}
 
@@ -363,6 +366,66 @@ def _mutate(data, lattice, sections):
         del tile[1][a]
 
 
+def _array_form(cover):
+    """``cover`` with every section held as runs: maximal runs of consecutive
+    tiles of one kind and one site count, as int64 site arrays."""
+    sections = []
+    for sec in cover.sections:
+        runs = []
+        for (kind, q), group in groupby(sec.tiles,
+                                        key=lambda t: (t.kind, len(t.sites))):
+            group = [t.sites for t in group]
+            runs.append((kind, np.array(group, dtype=np.int64).reshape(len(group), q)))
+        sections.append(Section(sec.color, runs=runs))
+    return SectionCover(cover.lattice, tuple(sections))
+
+
+class TestSectionForms:
+    """A section holds tiles or runs; each is derived from the other, and
+    equality reads the content, whichever form holds it."""
+
+    def test_periodic_cover_holds_runs(self, hex44):
+        cover = cover_periodic_hex(hex44)
+        for sec in cover.sections:
+            (kind, sites), = sec.runs
+            assert kind == "S2" and sites.shape == (8, 3)
+            assert not sites.flags.writeable
+            assert sec.n_tiles == 8
+        assert all("tiles" not in vars(sec) for sec in cover.sections)
+
+    def test_adjacent_runs_of_one_kind_merge(self):
+        split = Section("red", runs=[("S1", [[0, 1]]), ("S1", [[2, 3]]),
+                                     ("S2", [[4, 5, 6]])])
+        joined = Section("red", runs=[("S1", [[0, 1], [2, 3]]),
+                                      ("S2", [[4, 5, 6]])])
+        tiles = Section("red", (Tile("S1", (0, 1)), Tile("S1", (2, 3)),
+                                Tile("S2", (4, 5, 6))))
+        assert split == joined == tiles
+        assert hash(split) == hash(joined) == hash(tiles)
+        assert [kind for kind, _ in split.runs] == ["S1", "S2"]
+        assert split.tiles == tiles.tiles
+
+    def test_colour_and_order_count(self):
+        a, b = Tile("S1", (0, 1)), Tile("S1", (2, 3))
+        assert Section("red", (a, b)) != Section("blue", (a, b))
+        assert Section("red", (a, b)) != Section("red", (b, a))
+
+    def test_non_integer_sites_have_no_runs(self):
+        sec = Section("red", (Tile("S1", (0, 1.0)),))
+        assert sec.runs is None
+        assert sec == Section("red", (Tile("S1", (0, 1.0)),))
+        assert sec != Section("red", (Tile("S1", (0, 1)),))
+        with pytest.raises(CoverError, match="not an integer"):
+            sec.edge_array()
+
+    @pytest.mark.parametrize("l", [4, 6])
+    def test_edge_array_holds_the_tile_edges(self, l):
+        cover = cover_periodic_hex(build_periodic_hex(l, l))
+        for sec in cover.sections:
+            pairs = sorted(map(tuple, sec.edge_array().tolist()))
+            assert pairs == sorted(e for tile in sec.tiles for e in tile.edges)
+
+
 class TestValidateAgainstLoop:
     """The array ``validate_cover`` gives the loop check's flag and
     violations, in order, on mutated periodic, fragment and manual covers."""
@@ -378,8 +441,16 @@ class TestValidateAgainstLoop:
         mutated = SectionCover(lattice, tuple(
             Section(color, tuple(Tile(kind, tuple(sites)) for kind, sites in tiles))
             for color, tiles in sections))
-        got, want = validate_cover(lattice, mutated), loop_validate_cover(lattice, mutated)
-        assert (got.valid, got.violations) == (want.valid, want.violations)
+        arrays = _array_form(mutated)
+        want = loop_validate_cover(lattice, mutated)
+        # the tuple form, its array form, and the tuple form once its runs
+        # are derived (by the comparison) give one report
+        for cover in (mutated, arrays, mutated):
+            got = validate_cover(lattice, cover)
+            assert (got.valid, got.violations) == (want.valid, want.violations)
+            assert cover.sections == arrays.sections
+        assert ([(sec.color, sec.tiles) for sec in arrays.sections]
+                == [(sec.color, sec.tiles) for sec in mutated.sections])
 
     @pytest.mark.parametrize("lattice,cover", _BASE_COVERS)
     def test_base_covers(self, lattice, cover):

@@ -443,6 +443,26 @@ class TestGeometryMemo:
         self._warm_equals_cold(hex44, reverse, extended_params,
                                ModelParams("extended_hubbard", tau=0.3))
 
+    def test_recoloured_sections_are_their_own_entry(self, hex44, cover44,
+                                                     extended_params):
+        recoloured = SectionCover(hex44, tuple(
+            Section(color, runs=sec.runs) for color, sec in
+            zip(("red", "gold", "blue"), cover44.sections)))
+        w_tile(hex44, cover44, extended_params)
+        w_tile(hex44, recoloured, extended_params)
+        info = trotterbounds._section_sums.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+
+    def test_json_round_trip_shares_an_entry(self, hex44, cover44,
+                                             extended_params):
+        back = cover_from_json(cover_to_json(cover44), hex44)
+        assert back.sections == cover44.sections
+        values = [w_tile(hex44, cover, extended_params)
+                  for cover in (cover44, back)]
+        assert values[0].components == values[1].components
+        info = trotterbounds._section_sums.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
     def test_equal_lattices_share_an_entry(self, extended_params):
         first, second = build_periodic_hex(6, 6), build_periodic_hex(6, 6)
         assert first is not second
