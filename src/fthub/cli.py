@@ -19,6 +19,7 @@ win.  Exit codes: 0 success, 1 check failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -275,7 +276,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared by
+    every call: ``parse_args`` leaves it unchanged, and callers must not
+    change it either (no ``add_argument`` or ``set_defaults`` on it)."""
     parser = argparse.ArgumentParser(prog="fthub",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,9 +25,11 @@ dense matrix itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .lattice import LatticeGraph, _edge_array
+from .lattice import LatticeGraph, _edge_array, check_memory
 
 
 def schatten1(matrix: np.ndarray) -> float:
@@ -130,7 +132,8 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
     of A is the union of its blocks' spectra.  Returns a complex array of
     shape (S, K, d, d) for S edge sets.  With one block (no symmetry, or
     at most ``DENSE_MAX_SITES`` sites) the array is real: the dense
-    matrices.
+    matrices.  A stack larger than the machine's physical memory raises
+    ``LatticeError`` before anything is allocated.
     """
     x, y, orb, (l_x, l_y), n_orb = _cells(lattice)
     if lattice.n_sites > DENSE_MAX_SITES:
@@ -141,6 +144,10 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
     d = n_orb * p_x * p_y
     cell_x, cell_y = x // p_x, y // p_y
     local = orb + n_orb * (x % p_x + p_x * (y % p_y))
+    # the float counts, and with more than one block their complex transform
+    shape = (len(edge_sets), k_x * k_y, d, d)
+    check_memory(math.prod(shape) * (8 + 16 * (k_x * k_y > 1)),
+                 f"a Bloch block stack of shape {shape}")
     # counts[s, D_x, D_y, a, b]: entries of A_s from orbital a to orbital b
     # at supercell offset D, summed over all K translates (hence the 1/K of
     # the inverse FFT)
@@ -154,4 +161,4 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
                               local[i], local[j]), 1.0)
     if k_x * k_y > 1:
         counts = np.fft.ifft2(counts, axes=(1, 2))
-    return counts.reshape(len(edge_sets), k_x * k_y, d, d)
+    return counts.reshape(shape)

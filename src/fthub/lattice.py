@@ -230,18 +230,30 @@ def hex_site_index(l: int, m: int, c: int, l_x: int, l_y: int) -> int:
 SITE_BYTES = 128
 
 
+def physical_memory() -> int | None:
+    """Bytes of the machine's physical memory; None where the operating
+    system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def check_memory(n_bytes: int, what: str):
+    """Raise ``LatticeError`` when ``what`` needs ``n_bytes``, more than the
+    machine's physical memory; the check is skipped where the operating
+    system does not report that memory."""
+    memory = physical_memory()
+    if memory is not None and n_bytes > memory:
+        raise LatticeError(f"{what} needs at least {n_bytes / 2**30:.3g} GiB, "
+                           f"more than the {memory / 2**30:.3g} GiB of this "
+                           f"machine")
+
+
 def check_lattice_memory(n_sites: int):
     """Raise ``LatticeError`` when a lattice of ``n_sites`` sites cannot fit
-    in the machine's physical memory at ``SITE_BYTES`` per site; the check
-    is skipped where the operating system does not report that memory."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return
-    if n_sites * SITE_BYTES > memory:
-        raise LatticeError(f"a lattice of {n_sites} sites needs at least "
-                           f"{n_sites * SITE_BYTES / 2**30:.3g} GiB, more than "
-                           f"the {memory / 2**30:.3g} GiB of this machine")
+    in the machine's physical memory at ``SITE_BYTES`` per site."""
+    check_memory(n_sites * SITE_BYTES, f"a lattice of {n_sites} sites")
 
 
 def check_periodic_dims(l_x: int, l_y: int):

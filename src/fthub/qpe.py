@@ -17,7 +17,12 @@ ceil(pi * lambda / (2 eps)) times, plus a unary iterator overhead of
 
 Step counts are kept continuous (not rounded up) so sweeps produce smooth
 curves; x is optimized on a geometric grid followed by golden-section
-refinement when not supplied.  An eps with 6.203 sqrt(W) / eps^1.5 < 1, at
+refinement when not supplied.  The 200 grid points are fixed at import and
+their costs are taken in one numpy evaluation of the same formula; only the
+index of the first minimum comes from that array (a cost may differ from the
+scalar one in its last bit).  The bracket around it is read from the list of
+grid floats and refined with scalar ``math``, so x is that of a scan that
+evaluates the grid point by point.  An eps with 6.203 sqrt(W) / eps^1.5 < 1, at
 which fewer than one phase-estimation step would do at any x, is rejected.
 """
 
@@ -27,6 +32,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .gatecount import (StepCost, step_cost_periodic_extended,
                         step_cost_periodic_hubbard, step_cost_ppp)
@@ -40,6 +47,9 @@ X_GRID_LO = 1e-4
 X_GRID_HI = 0.5
 X_GRID_POINTS = 200
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_X_RATIO = (X_GRID_HI / X_GRID_LO) ** (1.0 / (X_GRID_POINTS - 1))
+X_GRID = tuple(X_GRID_LO * _X_RATIO ** i for i in range(X_GRID_POINTS))
+_X_GRID_ARRAY = np.array(X_GRID)
 
 
 @dataclass
@@ -53,11 +63,14 @@ class QpeEstimate:
     intermediates: dict = field(default_factory=dict)
 
 
-def _trotter_total_t(step: StepCost, w: float, eps: float, x: float) -> tuple:
+def _trotter_total_t(step: StepCost, w: float, eps: float, x,
+                     sqrt=math.sqrt, log2=math.log2) -> tuple:
+    """(total T, n_pe, n_rt) at synthesis fraction x: a float with the
+    default ``math`` functions, or an array of the x grid with numpy's."""
     n_pe = PE_STEP_CONSTANT * math.sqrt(w) / ((1 - x) ** 1.5 * eps ** 1.5)
     if step.n_rot > 0:
-        arg = step.n_rot * math.sqrt(3 * w) / (x * math.sqrt(1 - x) * eps ** 1.5)
-        n_rt = step.n_rot * (RUS_LOG_COEFF * math.log2(arg) + RUS_OFFSET)
+        arg = step.n_rot * math.sqrt(3 * w) / (x * sqrt(1 - x) * eps ** 1.5)
+        n_rt = step.n_rot * (RUS_LOG_COEFF * log2(arg) + RUS_OFFSET)
     else:
         n_rt = 0.0
     return n_pe * (n_rt + step.n_t), n_pe, n_rt
@@ -66,12 +79,15 @@ def _trotter_total_t(step: StepCost, w: float, eps: float, x: float) -> tuple:
 def optimize_x(step: StepCost, w: float, eps: float) -> float:
     """Deterministic grid scan plus golden-section refinement of the synthesis
     error fraction."""
-    ratio = (X_GRID_HI / X_GRID_LO) ** (1.0 / (X_GRID_POINTS - 1))
-    grid = [X_GRID_LO * ratio ** i for i in range(X_GRID_POINTS)]
-    costs = [_trotter_total_t(step, w, eps, x)[0] for x in grid]
-    k = costs.index(min(costs))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, X_GRID_POINTS - 1)]
+    # the whole grid in one evaluation.  At the edge of the float range a
+    # cost overflows or divides by zero to inf, with no numpy warning; the
+    # scalar refinement below then raises where a point-by-point scan would
+    with np.errstate(all="ignore"):
+        costs = _trotter_total_t(step, w, eps, _X_GRID_ARRAY,
+                                 np.sqrt, np.log2)[0]
+    k = int(np.argmin(costs))  # the first minimum
+    lo = X_GRID[max(k - 1, 0)]
+    hi = X_GRID[min(k + 1, X_GRID_POINTS - 1)]
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)

@@ -1,15 +1,17 @@
 import csv
 import itertools
 import json
+import os
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fthub import cli
+from fthub import cli, lattice
 from fthub.qpe import hubbard_step
 
 
@@ -73,6 +75,17 @@ class TestQpe:
         full = capsys.readouterr().out.splitlines()
         assert empty == full[:1]
         assert full[0].endswith(",eps_rule")
+
+    @pytest.mark.parametrize("eps,code", [("1e-200", 0), ("1e-201", 2)])
+    def test_extreme_eps_raises_no_warning(self, capsys, eps, code):
+        # the x grid overflows here; that is no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["qpe", "--L", "8", "--eps", eps]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       f"error: eps={float(eps)!r} is out of range: the T "
+                       "count is not a finite number\n")
 
 
 class TestSmallCommands:
@@ -368,6 +381,26 @@ class TestSmallCommands:
         assert "sites needs at least" in err
         assert peak < 2**20
 
+    def test_bloch_stack_beyond_memory_exit_2_before_allocating(
+            self, monkeypatch, capsys):
+        # at L = 2 (mod 4) the section blocks form a (3, L/2, 4L, 4L) stack,
+        # 128 MiB at L = 62; at L = 64 they are small.  The lattice and its
+        # cover take about 2 MiB before the stack is sized
+        monkeypatch.setattr(lattice, "physical_memory", lambda: 64 * 2**20)
+        tracemalloc.start()
+        try:
+            code = run_cli(["bounds", "--L", "62"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: a Bloch block stack of shape "
+                              "(3, 31, 248, 248) needs at least")
+        assert err.count("\n") == 1
+        assert peak < 4 * 2**20
+        assert run_cli(["bounds", "--L", "64", "--out", os.devnull]) == 0
+
 
 # the options every subcommand took before each took only what it reads
 SHARED_FLAGS = ("lattice", "L", "cells", "cover", "model", "U", "V", "tau",
@@ -418,6 +451,35 @@ class TestFlagContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert "unknown config key 'eps'" in err
+
+    def test_shared_parser_keeps_no_state(self, tmp_path, capsys, monkeypatch):
+        gates_cfg = tmp_path / "gates.cfg"
+        gates_cfg.write_text("model=extended_hubbard\nalpha=N/4-1\nL=6\n")
+        qpe_cfg = tmp_path / "qpe.cfg"
+        qpe_cfg.write_text("model=extended_hubbard\nalpha=0\nL=6\neps=0.1\n")
+        # a --config call, explicit flags, a bad flag, then the defaults
+        calls = [["gates", "--config", str(gates_cfg)],
+                 ["gates", "--alpha", "N/2-1", "--L", "8"],
+                 ["gates", "--eps", "0.1"],
+                 ["gates"],
+                 ["qpe", "--config", str(qpe_cfg)],
+                 ["qpe", "--alpha", "N-1", "--L", "4"],
+                 ["qpe", "--lattice", "periodic_hex"],
+                 ["qpe"]]
+
+        def outputs():
+            seen = []
+            for argv in calls:
+                code = run_cli(argv)
+                seen.append((code, *capsys.readouterr()))
+            return seen
+
+        assert cli.build_parser() is cli.build_parser()
+        shared = outputs()
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0, 2, 0]
+        # each call again, each with a parser of its own
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert shared == outputs()
 
 
 class TestVerify:

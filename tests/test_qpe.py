@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -96,8 +98,9 @@ class TestTrotterQpe:
 
 
 def golden_section_evaluating_both(step, w, eps):
-    """``optimize_x`` as it was when every narrowing evaluated both interior
-    points: the reference for its x."""
+    """``optimize_x`` as it was when it scanned the grid point by point and
+    every narrowing evaluated both interior points: the reference for its
+    x."""
     def f(x):
         return qpe._trotter_total_t(step, w, eps, x)[0]
 
@@ -143,9 +146,43 @@ class TestOptimizeX:
         for case, want in zip(cases, expected):
             calls.clear()
             assert optimize_x(*case) == want
-            # the grid, the first two interior points, then one new point
-            # for each of the 59 narrowings that are compared
-            assert len(calls) == qpe.X_GRID_POINTS + 61
+            # one evaluation of the whole grid, the first two interior
+            # points, then one new point for each of the 59 narrowings that
+            # are compared
+            assert len(calls) == 1 + 61
+            assert isinstance(calls[0][3], np.ndarray)
+            assert all(isinstance(c[3], float) for c in calls[1:])
+
+    def test_grid_scan_matches_the_scalar_scan(self):
+        # both models, L = 4 ... 64, every alpha rule, w/N from below to
+        # above the reference table's range, fixed and extensive eps
+        for model in ("hubbard", "extended_hubbard"):
+            for l in range(4, 65, 2):
+                n = 2 * l * l
+                for rule in qpe.ALPHA_RULES:
+                    step = hubbard_step(n, model, rule)
+                    for w, eps in itertools.product(
+                            (0.37 * n, 3.3 * n, 18.0 * n, 55.5 * n),
+                            (1e-3, 0.02, 0.3, 0.005 * n)):
+                        got = optimize_x(step, w, eps)
+                        want = golden_section_evaluating_both(step, w, eps)
+                        assert got.hex() == want.hex(), (model, l, rule, w, eps)
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e-201, 1e-210, 1e-216, 1e-300])
+    def test_edge_of_float_range_matches_the_scalar_scan(self, eps):
+        # the grid costs overflow, or a divisor underflows to zero: the
+        # value or the error is that of the point-by-point scan
+        step = hubbard_step(128, "extended_hubbard", "N/4-1")
+
+        def outcome(fn):
+            try:
+                return fn(step, 900.0, eps).hex()
+            except (ArithmeticError, ValueError) as exc:
+                return type(exc)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(optimize_x) == outcome(golden_section_evaluating_both)
 
 
 class TestQubitizedQpe:
