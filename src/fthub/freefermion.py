@@ -75,6 +75,13 @@ def _commutator_ah(x: np.ndarray, c: np.ndarray) -> np.ndarray:
 # x.  Above it the Bloch blocks are used.
 DENSE_MAX_SITES = 648
 
+# Arrays the size of one edge set's blocks that the commutators of
+# ``trotterbounds.w_h`` hold beside the stack at their peak: the inner
+# commutator, and the product, its conjugate and their sum inside
+# ``_commutator_ah``.  ``translation_blocks`` counts them in the memory it
+# checks for, whatever the caller.
+COMMUTATOR_ARRAYS = 4
+
 
 def _cells(lattice: LatticeGraph) -> tuple:
     """Cell coordinates x and y, orbital, torus size (L_x, L_y) and orbitals
@@ -132,8 +139,10 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
     of A is the union of its blocks' spectra.  Returns a complex array of
     shape (S, K, d, d) for S edge sets.  With one block (no symmetry, or
     at most ``DENSE_MAX_SITES`` sites) the array is real: the dense
-    matrices.  A stack larger than the machine's physical memory raises
-    ``LatticeError`` before anything is allocated.
+    matrices.  When the stack, with the float counts it is built from and
+    ``COMMUTATOR_ARRAYS`` arrays of one edge set's blocks, needs more than
+    the machine's physical memory, ``LatticeError`` is raised before
+    anything is allocated.
     """
     x, y, orb, (l_x, l_y), n_orb = _cells(lattice)
     if lattice.n_sites > DENSE_MAX_SITES:
@@ -144,9 +153,13 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
     d = n_orb * p_x * p_y
     cell_x, cell_y = x // p_x, y // p_y
     local = orb + n_orb * (x % p_x + p_x * (y % p_y))
-    # the float counts, and with more than one block their complex transform
+    # per entry of each edge set, the float counts and, with more than one
+    # block, their complex transform; and the commutator arrays, complex
+    # with more than one block
     shape = (len(edge_sets), k_x * k_y, d, d)
-    check_memory(math.prod(shape) * (8 + 16 * (k_x * k_y > 1)),
+    bloch = k_x * k_y > 1
+    check_memory(math.prod(shape[1:]) * (len(edge_sets) * (8 + 16 * bloch)
+                                         + COMMUTATOR_ARRAYS * (8 + 8 * bloch)),
                  f"a Bloch block stack of shape {shape}")
     # counts[s, D_x, D_y, a, b]: entries of A_s from orbital a to orbital b
     # at supercell offset D, summed over all K translates (hence the 1/K of
@@ -159,6 +172,11 @@ def translation_blocks(lattice: LatticeGraph, edge_sets) -> np.ndarray:
         np.add.at(counts[s], ((cell_x[j] - cell_x[i]) % k_x,
                               (cell_y[j] - cell_y[i]) % k_y,
                               local[i], local[j]), 1.0)
-    if k_x * k_y > 1:
-        counts = np.fft.ifft2(counts, axes=(1, 2))
+    if bloch:
+        # one edge set at a time, so the transform's copies stay within
+        # the commutator arrays counted above
+        blocks = np.empty(counts.shape, dtype=complex)
+        for s, count in enumerate(counts):
+            blocks[s] = np.fft.ifft2(count, axes=(0, 1))
+        counts = blocks
     return counts.reshape(shape)

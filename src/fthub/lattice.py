@@ -14,10 +14,10 @@ site belongs to at least one complete hexagonal face.
 A lattice is stored as the ascending array of codes i * N + j of its
 distinct bonds (i, j), i < j, checked on entry.  Degrees, neighbor lists
 and the edge count are computed from them, so memory grows with the number
-of bonds, not with N^2.  The ``edges`` tuple and the ``SiteInfo`` objects
-of a periodic lattice are derived on first read; the estimator never reads
-them.  The dense N x N adjacency matrix is derived on request, for small
-lattices only.
+of bonds, not with N^2.  The ``edges`` tuple of every lattice, and the
+``SiteInfo`` objects of a periodic one, are derived on first read; the
+estimator never reads them.  The dense N x N adjacency matrix is derived
+on request, for small lattices only.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ class LatticeGraph:
     """A lattice of ``n_sites`` sites, stored as the ascending codes
     i * n_sites + j of its bonds (i, j), i < j.
 
-    Built from an ``edges`` tuple of (i, j) pairs, or from ``edge_codes``
-    directly; either is checked on entry.  The ``edges`` tuple is derived
-    from the codes on first read, and so is ``site_info`` of a lattice
-    built without it (a ``periodic_hex`` lattice, whose sites follow from
-    ``dims``)."""
+    Built from ``edges``, (i, j) pairs in any sequence or array, or from
+    ``edge_codes`` directly; either is checked on entry and only the codes
+    are kept.  The ``edges`` tuple is derived from the codes on first read,
+    and so is ``site_info`` of a lattice built without it (a
+    ``periodic_hex`` lattice, whose sites follow from ``dims``)."""
 
     def __init__(self, n_sites: int, edges=None, site_info=None,
                  kind: str = "custom", dims=None, *, edge_codes=None):
@@ -59,7 +59,6 @@ class LatticeGraph:
         if site_info is not None:
             self.site_info = site_info
         if edge_codes is None:
-            self.edges = edges
             edge_codes = _edge_codes(edges, n_sites)
         self.edge_codes = _checked_codes(edge_codes, n_sites)
 

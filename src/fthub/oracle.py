@@ -126,10 +126,7 @@ def jw_hopping(lattice: LatticeGraph, tau: float,
 
 def jw_section(lattice: LatticeGraph, cover: SectionCover, s: int,
                tau: float) -> PauliSum:
-    edges = []
-    for tile in cover.sections[s].tiles:
-        edges.extend(tile.edges)
-    return jw_hopping(lattice, tau, edges=edges)
+    return jw_hopping(lattice, tau, edges=cover.sections[s].edge_array().tolist())
 
 
 def jw_tile_local(kind: str, tau: float) -> PauliSum:

@@ -123,32 +123,27 @@ class Tile:
 
 
 class Section:
-    """A colour and its tiles, held in the form they were built in: a tuple
-    of ``Tile`` objects, or ``runs``, each a tile kind and the (T, q) int64
-    site array of T consecutive tiles of that kind, one tile per row (what
-    ``cover_periodic_hex`` builds).  Either form is derived from the other
-    on first read.
+    """A colour and its tiles, stored as ``runs``: per maximal run of
+    consecutive tiles with one kind and one site count, the kind and a
+    read-only (T, q) int64 site array, one tile per row.
 
+    ``Section(color, tiles)`` reads ``Tile`` objects into runs, and raises
+    ``CoverError`` on a site that is not a 64-bit integer;
+    ``Section(color, runs=...)`` takes the arrays (what ``cover_periodic_hex``
+    builds).  ``tiles`` is a read view made from the runs on first read.
     Equality and hashing read ``key``, the colour and the content of the
-    runs, so equal tiles in equal order give equal sections whichever form
-    holds them."""
+    runs, so equal tiles in equal order give equal sections."""
 
-    def __init__(self, color: str, tiles=None, *, runs=None):
+    def __init__(self, color: str, tiles=(), *, runs=()):
         self.color = color
-        if runs is None:
-            self.tiles = tuple(tiles)
-        else:
-            self.runs = _merged_runs(runs)
+        self.runs = _merged_runs([*_tile_runs(tiles), *runs])
 
     def __repr__(self):
         return f"Section(color={self.color!r}, n_tiles={self.n_tiles})"
 
     @property
     def n_tiles(self) -> int:
-        runs = vars(self).get("runs")
-        if runs is not None:
-            return sum(len(sites) for _, sites in runs)
-        return len(self.tiles)
+        return sum(len(sites) for _, sites in self.runs)
 
     def __eq__(self, other):
         return isinstance(other, Section) and self.key == other.key
@@ -158,53 +153,22 @@ class Section:
 
     @functools.cached_property
     def tiles(self) -> tuple:
-        return tuple(Tile(kind, sites) for kind, arr in self.runs
-                     for sites in map(tuple, arr.tolist()))
-
-    @functools.cached_property
-    def runs(self):
-        """Maximal runs of consecutive tiles with one kind and one site
-        count, as (kind, (T, q) read-only int64 site array) pairs; None when
-        some site is not an integer."""
-        sites = [i for t in self.tiles for i in t.sites]
-        if not (set(map(type, sites)) <= {int}
-                or all(isinstance(i, (int, np.integer))
-                       and not isinstance(i, bool) for i in sites)):
-            return None
-        runs = []
-        for (kind, q), group in groupby(self.tiles,
-                                        key=lambda t: (t.kind, len(t.sites))):
-            group = [t.sites for t in group]
-            try:
-                runs.append((kind, np.array(group, dtype=np.int64)
-                             .reshape(len(group), q)))
-            except OverflowError:       # a site past the int64 range
-                return None
-        return _merged_runs(runs)
+        return tuple(Tile(kind, tuple(sites)) for kind, sites in self.rows())
 
     @functools.cached_property
     def key(self) -> tuple:
-        """The colour and, per run, the kind, shape and site bytes; the
-        colour and the tiles when ``runs`` is None."""
-        if self.runs is None:
-            return self.color, self.tiles
+        """The colour and, per run, the kind, shape and site bytes."""
         return self.color, tuple((kind, arr.shape, arr.tobytes())
                                  for kind, arr in self.runs)
 
     def rows(self) -> list:
-        """(kind, site list) of each tile in order, read from the runs when
-        the section holds them, without building ``Tile`` objects."""
-        runs = vars(self).get("runs")
-        if runs is not None:
-            return [(kind, row) for kind, arr in runs for row in arr.tolist()]
-        return [(t.kind, list(t.sites)) for t in self.tiles]
+        """(kind, site list) of each tile in order, read from the runs
+        without building ``Tile`` objects."""
+        return [(kind, row) for kind, arr in self.runs for row in arr.tolist()]
 
     def edge_array(self) -> np.ndarray:
         """(E, 2) int64 array of the lattice edges (min, max) of every tile,
-        run by run and tile by tile.  Needs integer sites and catalog kinds."""
-        if self.runs is None:
-            raise CoverError(f"section {self.color} has a site that is not "
-                             f"an integer")
+        run by run and tile by tile.  Needs catalog kinds."""
         parts = [np.zeros((0, 2), dtype=np.int64)]
         for kind, arr in self.runs:
             a, b = np.array(tile_catalog(kind).local_edges).reshape(-1, 2).T
@@ -212,6 +176,27 @@ class Section:
                                    np.maximum(arr[:, a], arr[:, b]).ravel()],
                                   axis=1))
         return np.concatenate(parts)
+
+
+def _is_site(i) -> bool:
+    """Whether ``i`` can be a tile site: an integer, not a bool, in the
+    int64 range.  Whether it is a site of the lattice is left to
+    ``validate_cover``."""
+    return (isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            and -2**63 <= i < 2**63)
+
+
+def _tile_runs(tiles) -> list:
+    """``Tile`` objects as (kind, (T, q) int64 site array) runs, one per run
+    of consecutive tiles with one kind and one site count; CoverError on a
+    site that is not a 64-bit integer."""
+    runs = []
+    for (kind, q), group in groupby(tiles, key=lambda t: (t.kind, len(t.sites))):
+        sites = [t.sites for t in group]
+        if not all(map(_is_site, chain.from_iterable(sites))):
+            raise CoverError(f"{kind} tile sites must be 64-bit integers")
+        runs.append((kind, np.array(sites, dtype=np.int64).reshape(len(sites), q)))
+    return runs
 
 
 def _merged_runs(runs) -> tuple:
@@ -368,8 +353,7 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
 
     A valid cover is decided from sums and extremes of the arrays; the
     entries that fail are located, and their messages built, only when a
-    check fails.  A section that holds runs is read from its arrays, any
-    other from its ``Tile`` objects; both give the same columns."""
+    check fails."""
     n = lattice.n_sites
     kinds: dict = {}     # kind name -> index, in first-seen order
     kind_of, size, flat, valid, count = _tile_columns(cover, kinds, n)
@@ -478,47 +462,21 @@ def _tile_columns(cover: SectionCover, kinds: dict, n: int) -> tuple:
     """Per tile of ``cover`` in order, its kind (an index into ``kinds``,
     which is extended in first-seen order) and its site count; the sites of
     all tiles flattened, and the mask of those that are site indices of an
-    n-site lattice (the others read 0); and the tile count of each section.
-    A section's runs are read where it holds them, its ``Tile`` objects
-    otherwise."""
+    n-site lattice (the others read 0); and the tile count of each section."""
     parts: list = []
-    count = []
     for sec in cover.sections:
-        runs = vars(sec).get("runs")
-        if runs is None:
-            tiles = sec.tiles
-            sites = [t.sites for t in tiles]
-            parts.append((
-                np.array([kinds.setdefault(t.kind, len(kinds)) for t in tiles],
-                         dtype=np.int64),
-                np.fromiter(map(len, sites), dtype=np.int64, count=len(tiles)),
-                *_site_indices(list(chain.from_iterable(sites)), n)))
-        else:
-            for kind, arr in runs:
-                t, q = arr.shape
-                flat = arr.ravel()
-                valid = np.ones(len(flat), dtype=bool)
-                if t * q and (int(flat.min()) < 0 or int(flat.max()) >= n):
-                    valid = _equal(np.clip(flat, 0, n - 1), flat)
-                    flat = flat * valid
-                parts.append((np.repeat(kinds.setdefault(kind, len(kinds)), t),
-                              np.repeat(q, t), flat, valid))
-        count.append(sec.n_tiles)
+        for kind, arr in sec.runs:
+            t, q = arr.shape
+            flat = arr.ravel()
+            valid = np.ones(len(flat), dtype=bool)
+            if t * q and (int(flat.min()) < 0 or int(flat.max()) >= n):
+                valid = _equal(np.clip(flat, 0, n - 1), flat)
+                flat = flat * valid
+            parts.append((np.repeat(kinds.setdefault(kind, len(kinds)), t),
+                          np.repeat(q, t), flat, valid))
     empty = (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
     return (*(np.concatenate(column) for column in zip(empty, *parts)),
-            np.array(count, dtype=np.int64))
-
-
-def _site_indices(sites: list, n: int) -> tuple:
-    """``sites`` as an int64 array, and the mask of its entries that are
-    integer site indices of an n-site lattice (the others read 0)."""
-    if set(map(type, sites)) <= {int} and (not sites
-                                          or 0 <= min(sites) <= max(sites) < n):
-        return np.array(sites, dtype=np.int64), np.ones(len(sites), dtype=bool)
-    valid = [isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-             and 0 <= i < n for i in sites]
-    return (np.array([i if v else 0 for i, v in zip(sites, valid)], dtype=np.int64),
-            np.array(valid, dtype=bool))
+            np.array([sec.n_tiles for sec in cover.sections], dtype=np.int64))
 
 
 def cover_tile_census(cover: SectionCover) -> list:
@@ -526,8 +484,8 @@ def cover_tile_census(cover: SectionCover) -> list:
     out = []
     for sec in cover.sections:
         counts: dict = {}
-        for tile in sec.tiles:
-            counts[tile.kind] = counts.get(tile.kind, 0) + 1
+        for kind, sites in sec.runs:
+            counts[kind] = counts.get(kind, 0) + len(sites)
         out.append((sec.color, counts))
     return out
 
@@ -542,8 +500,9 @@ def cover_to_json(cover: SectionCover) -> str:
 
 def cover_from_json(text: str, lattice: LatticeGraph) -> SectionCover:
     """The cover of a ``cover_to_json`` document.  CoverError names the
-    first field of the wrong shape; what the tiles hold (kind names, site
-    indices) is left to ``validate_cover``."""
+    first field of the wrong shape, and a sites list that holds anything but
+    64-bit integers; what the tiles hold (kind names, site indices) is left
+    to ``validate_cover``."""
     doc = json.loads(text)
 
     def field_of(obj, key, kind, where):
@@ -555,9 +514,13 @@ def cover_from_json(text: str, lattice: LatticeGraph) -> SectionCover:
     sections = []
     for s, sec in enumerate(field_of(doc, "sections", list, "")):
         where = f"sections[{s}]."
-        tiles = tuple(
-            Tile(field_of(t, "kind", str, f"{where}tiles[{k}]."),
-                 tuple(field_of(t, "sites", list, f"{where}tiles[{k}].")))
-            for k, t in enumerate(field_of(sec, "tiles", list, where)))
+        tiles = []
+        for k, t in enumerate(field_of(sec, "tiles", list, where)):
+            at = f"{where}tiles[{k}]."
+            kind, sites = field_of(t, "kind", str, at), field_of(t, "sites", list, at)
+            if not all(map(_is_site, sites)):
+                raise CoverError(f"cover document: {at}sites must be a list of "
+                                 f"integers")
+            tiles.append(Tile(kind, tuple(sites)))
         sections.append(Section(field_of(sec, "color", str, where), tiles))
     return SectionCover(lattice, tuple(sections))

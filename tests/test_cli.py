@@ -88,6 +88,11 @@ class TestQpe:
                        "count is not a finite number\n")
 
 
+# JSON site values that are no 64-bit integer
+BAD_SITES = {"float site": 1.0, "string site": "1", "bool site": True,
+             "null site": None, "list site": [1], "int64-overflow site": 2**70}
+
+
 class TestSmallCommands:
     def test_lattice_json(self, tmp_path):
         out = tmp_path / "lat.json"
@@ -172,12 +177,15 @@ class TestSmallCommands:
         ("color", "sections[1].color must be a string"),
         ("top-level list", "sections must be a list"),
         ("sections", "sections must be a list"),
-    ])
+    ] + [(case, "sections[0].tiles[1].sites must be a list of integers")
+         for case in BAD_SITES])
     def test_malformed_cover_document_exit_2(self, capsys, tmp_path,
                                              hexagon_cover, case, message):
         from fthub.tiling import cover_to_json
         doc = json.loads(cover_to_json(hexagon_cover))
-        if case == "sites":
+        if case in BAD_SITES:
+            doc["sections"][0]["tiles"][1]["sites"][1] = BAD_SITES[case]
+        elif case == "sites":
             doc["sections"][0]["tiles"][0]["sites"] = 5
         elif case == "kind":
             doc["sections"][1]["tiles"][2]["kind"] = ["S1"]
@@ -400,6 +408,46 @@ class TestSmallCommands:
         assert err.count("\n") == 1
         assert peak < 4 * 2**20
         assert run_cli(["bounds", "--L", "64", "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("l", [22, 26])
+    def test_bloch_memory_figure_covers_the_peak(self, monkeypatch, l):
+        # the checked figure counts the commutator arrays of the section
+        # sums, not the block stack alone (about 0.6 of the traced peak)
+        from fthub import freefermion
+        figures = []
+
+        def recording(n_bytes, what):
+            figures.append(n_bytes)
+            lattice.check_memory(n_bytes, what)
+
+        monkeypatch.setattr(freefermion, "check_memory", recording)
+        tracemalloc.start()
+        try:
+            code = run_cli(["bounds", "--L", str(l), "--model",
+                            "extended_hubbard", "--out", os.devnull])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert max(figures) >= peak
+
+    def test_bloch_workspace_beyond_memory_exit_2_before_allocating(
+            self, monkeypatch, capsys):
+        # at L = 62 the (3, 31, 248, 248) stack alone (137 MB) fits in
+        # 180 MiB, but with the commutator arrays the work peaks near 205 MiB
+        monkeypatch.setattr(lattice, "physical_memory", lambda: 180 * 2**20)
+        tracemalloc.start()
+        try:
+            code = run_cli(["bounds", "--L", "62"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: a Bloch block stack of shape "
+                              "(3, 31, 248, 248) needs at least")
+        assert err.count("\n") == 1
+        assert peak < 4 * 2**20
 
 
 # the options every subcommand took before each took only what it reads

@@ -12,7 +12,7 @@ from fthub.lattice import (LatticeError, LatticeGraph, SiteInfo,
                            build_square_fragment, degree_histogram,
                            lattice_from_json, lattice_to_json, regular_degree,
                            ring_lattice, single_hexagon, symmetry_generators)
-from fthub.tiling import Tile, cover_periodic_hex
+from fthub.tiling import Tile, cover_hex_fragment, cover_periodic_hex, validate_cover
 from conftest import CHEVRON_CELLS, PARALLELOGRAM_CELLS
 
 HEX44_SHA = "2baddd80280a6a6a8bd0c82827d767782249b954ea671c2272558054264ec0f0"
@@ -291,6 +291,15 @@ class TestEdgeList:
         assert not lattice.edge_codes.flags.writeable
         with pytest.raises(LatticeError, match="site_info"):
             from_codes.site_info
+
+    @pytest.mark.parametrize("edges", [[[0, 1], [1, 2], [2, 3]],
+                                       np.array([[0, 1], [1, 2], [2, 3]])],
+                             ids=["lists", "array"])
+    def test_edges_are_derived_from_the_codes(self, edges):
+        # the pairs as given are not kept: a greedy cover hashes the tuples
+        lattice = LatticeGraph(4, edges)
+        assert lattice.edges == ((0, 1), (1, 2), (2, 3))
+        assert validate_cover(lattice, cover_hex_fragment(lattice)).valid
 
     def test_periodic_bounds_build_no_site_or_tile_objects(self, monkeypatch,
                                                           tmp_path):

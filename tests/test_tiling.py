@@ -1,5 +1,4 @@
 import math
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -366,23 +365,9 @@ def _mutate(data, lattice, sections):
         del tile[1][a]
 
 
-def _array_form(cover):
-    """``cover`` with every section held as runs: maximal runs of consecutive
-    tiles of one kind and one site count, as int64 site arrays."""
-    sections = []
-    for sec in cover.sections:
-        runs = []
-        for (kind, q), group in groupby(sec.tiles,
-                                        key=lambda t: (t.kind, len(t.sites))):
-            group = [t.sites for t in group]
-            runs.append((kind, np.array(group, dtype=np.int64).reshape(len(group), q)))
-        sections.append(Section(sec.color, runs=runs))
-    return SectionCover(cover.lattice, tuple(sections))
-
-
 class TestSectionForms:
-    """A section holds tiles or runs; each is derived from the other, and
-    equality reads the content, whichever form holds it."""
+    """A section stores runs, read from its tiles or given as arrays;
+    equality reads their content."""
 
     def test_periodic_cover_holds_runs(self, hex44):
         cover = cover_periodic_hex(hex44)
@@ -410,13 +395,10 @@ class TestSectionForms:
         assert Section("red", (a, b)) != Section("blue", (a, b))
         assert Section("red", (a, b)) != Section("red", (b, a))
 
-    def test_non_integer_sites_have_no_runs(self):
-        sec = Section("red", (Tile("S1", (0, 1.0)),))
-        assert sec.runs is None
-        assert sec == Section("red", (Tile("S1", (0, 1.0)),))
-        assert sec != Section("red", (Tile("S1", (0, 1)),))
-        with pytest.raises(CoverError, match="not an integer"):
-            sec.edge_array()
+    @pytest.mark.parametrize("site", [1.0, "1", True, None, [1], 2**70])
+    def test_non_integer_site_raises(self, site):
+        with pytest.raises(CoverError, match="S1 tile sites must be 64-bit integers"):
+            Section("red", (Tile("S1", (0, 1)), Tile("S1", (2, site))))
 
     @pytest.mark.parametrize("l", [4, 6])
     def test_edge_array_holds_the_tile_edges(self, l):
@@ -438,19 +420,15 @@ class TestValidateAgainstLoop:
                     for sec in cover.sections]
         for _ in range(data.draw(st.integers(1, 4))):
             _mutate(data, lattice, sections)
+        tiles = [tuple(Tile(kind, tuple(sites)) for kind, sites in tiles)
+                 for _, tiles in sections]
         mutated = SectionCover(lattice, tuple(
-            Section(color, tuple(Tile(kind, tuple(sites)) for kind, sites in tiles))
-            for color, tiles in sections))
-        arrays = _array_form(mutated)
-        want = loop_validate_cover(lattice, mutated)
-        # the tuple form, its array form, and the tuple form once its runs
-        # are derived (by the comparison) give one report
-        for cover in (mutated, arrays, mutated):
-            got = validate_cover(lattice, cover)
-            assert (got.valid, got.violations) == (want.valid, want.violations)
-            assert cover.sections == arrays.sections
-        assert ([(sec.color, sec.tiles) for sec in arrays.sections]
-                == [(sec.color, sec.tiles) for sec in mutated.sections])
+            Section(color, t) for (color, _), t in zip(sections, tiles)))
+        # the tiles read back from the runs are the tiles given
+        assert [sec.tiles for sec in mutated.sections] == tiles
+        got, want = (validate_cover(lattice, mutated),
+                     loop_validate_cover(lattice, mutated))
+        assert (got.valid, got.violations) == (want.valid, want.violations)
 
     @pytest.mark.parametrize("lattice,cover", _BASE_COVERS)
     def test_base_covers(self, lattice, cover):
@@ -464,9 +442,3 @@ class TestValidateAgainstLoop:
         got, want = validate_cover(hexagon, cover), loop_validate_cover(hexagon, cover)
         assert (got.valid, got.violations) == (want.valid, want.violations)
         assert got.violations[-1] == "duplicate edge (0, 2) covered 2 times"
-
-    @pytest.mark.parametrize("site", [1.0, "1", True, None, [1]])
-    def test_non_integer_site_is_missing(self, hexagon, site):
-        cover = SectionCover(hexagon, (Section("blue", (Tile("S1", (0, site)),)),))
-        report = validate_cover(hexagon, cover)
-        assert report.violations[0] == f"tile references missing site: {(0, site)}"
