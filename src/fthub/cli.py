@@ -32,8 +32,8 @@ from .lattice import (build_hex_fragment, build_periodic_hex,
 from .oracle import run_suite
 from .qpe import crossover_sweep, hubbard_step, rows_to_csv
 from .qubitization import check_rotation_costs
-from .tiling import (check_cover_dims, cover_from_json, cover_hex_fragment,
-                     cover_periodic_hex, cover_to_json, validate_cover)
+from .tiling import (check_cover, check_cover_dims, cover_from_json,
+                     cover_hex_fragment, cover_periodic_hex, cover_to_json)
 from .trotterbounds import MODELS, ModelParams, w_so2_of, w_tile
 
 
@@ -95,10 +95,7 @@ def _build_cover(lattice, path: str | None = None):
     if path:
         with open(path) as fh:
             cover = cover_from_json(fh.read(), lattice)
-        report = validate_cover(lattice, cover)
-        if not report.valid:
-            raise ValueError("manual cover invalid: "
-                             + "; ".join(report.violations))
+        check_cover(lattice, cover, "manual cover invalid")
         return cover
     if lattice.kind == "periodic_hex":
         return cover_periodic_hex(lattice)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .lattice import LatticeGraph
-from .tiling import SectionCover, cover_tile_census, tile_catalog, validate_cover
+from .tiling import SectionCover, check_cover, cover_tile_census, tile_catalog
 
 TOFFOLI_T = 4
 
@@ -82,9 +82,7 @@ def step_cost_fragment(lattice: LatticeGraph, cover: SectionCover) -> StepCost:
     application doubled for the two spin sectors; the Coulomb layer
     contributes N rotations and 2 layers of CNOTs.
     """
-    report = validate_cover(lattice, cover)
-    if not report.valid:
-        raise ValueError("cover is invalid: " + "; ".join(report.violations))
+    check_cover(lattice, cover, "cover is invalid")
     census = cover_tile_census(cover)
     n = lattice.n_sites
     s_count = len(census)

@@ -184,9 +184,9 @@ def _edge_array(edges) -> np.ndarray:
 
 
 def _equal(a, b) -> np.ndarray:
-    """a == b for integer arrays, as a zero difference: the lattice and
-    cover code compares integers this way only, which keeps numpy's
-    comparison kernels out of processes that never use them otherwise."""
+    """a == b for integer arrays, as a zero difference: the lattice code
+    compares integers this way only, which keeps numpy's comparison kernels
+    out of processes that never use them otherwise."""
     return ~(a - b).astype(bool)
 
 

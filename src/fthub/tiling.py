@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from operator import itemgetter
 
 import numpy as np
 
-from .lattice import LatticeGraph, _equal, hex_site_index
+from .lattice import LatticeGraph, hex_site_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -268,10 +266,7 @@ def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
         Section("blue", runs=[("S2", other[np.flatnonzero(parity)])]),
         Section("red", runs=[("S2", red)]),
         Section("gold", runs=[("S2", other[np.flatnonzero(1 - parity)])])))
-    report = validate_cover(lattice, cover)
-    if not report.valid:
-        raise CoverError("periodic cover construction failed: "
-                         + "; ".join(report.violations))
+    check_cover(lattice, cover, "periodic cover construction failed")
     return cover
 
 
@@ -292,12 +287,16 @@ def cover_hex_fragment(lattice: LatticeGraph) -> SectionCover:
         raise CoverError("greedy cover expects a fragment lattice")
 
     uncovered = set(lattice.edges)
+    incident: list = [[] for _ in range(lattice.n_sites)]
+    for e in lattice.edges:     # sorted, so each list is in edge order
+        incident[e[0]].append(e)
+        incident[e[1]].append(e)
     tiles = []
     deg = lattice.degrees()
     for i in range(lattice.n_sites):
         if deg[i] != 3:
             continue
-        mine = sorted(e for e in uncovered if i in e)
+        mine = [e for e in incident[i] if e in uncovered]
         if len(mine) >= 2:
             (a, b), (c, d) = mine[0], mine[1]
             leaves = tuple(sorted({a, b, c, d} - {i}))
@@ -322,10 +321,7 @@ def cover_hex_fragment(lattice: LatticeGraph) -> SectionCover:
               + [f"extra{k}" for k in range(2, len(buckets) - 2)])
     sections = tuple(Section(c, tuple(b)) for c, b in zip(colors, buckets))
     cover = SectionCover(lattice, sections)
-    report = validate_cover(lattice, cover)
-    if not report.valid:
-        raise CoverError("greedy cover failed validation: "
-                         + "; ".join(report.violations))
+    check_cover(lattice, cover, "greedy cover failed validation")
     return cover
 
 
@@ -343,140 +339,83 @@ def validate_cover(lattice: LatticeGraph, cover: SectionCover) -> CoverReport:
     """Check disjointness within sections, exact edge coverage, and that every
     tile realizes its catalog interaction graph on the lattice.
 
-    The checks run on one (T, q) site array per tile kind.  A tile of
+    ``_is_valid`` decides a valid cover on the section runs.  Only an
+    invalid cover is walked tile by tile to list its violations: a tile of
     unknown kind, with the wrong number of sites, or with a site that is not
-    a lattice site index gets that one violation.  Any other tile may repeat
+    a lattice site index gets that one violation; any other tile may repeat
     a site, have edges absent from the lattice, or share sites with earlier
-    tiles of its section; its sites and edges count toward section overlap
-    and edge coverage.  Violations are listed tile by tile in cover order,
-    then duplicate edges in edge order, then uncovered lattice edges.
-
-    A valid cover is decided from sums and extremes of the arrays; the
-    entries that fail are located, and their messages built, only when a
-    check fails."""
-    n = lattice.n_sites
-    kinds: dict = {}     # kind name -> index, in first-seen order
-    kind_of, size, flat, valid, count = _tile_columns(cover, kinds, n)
-    n_tiles = len(size)
-    section = np.repeat(np.arange(len(cover.sections)), count)
-    first = np.cumsum(count) - count
-    offset = np.cumsum(size) - size
-    member = np.zeros((len(kinds), n_tiles), dtype=bool)
-    member[kind_of, np.arange(n_tiles)] = True
-
-    def sites_of(p):
-        """Sites of tile p as its section holds them, for a message."""
-        s = int(section[p])
-        return cover.sections[s].tiles[p - int(first[s])].sites
-
-    early: dict = {}     # tile -> the one violation that ends its checks
-    absent: dict = {}    # tile -> its sorted edges absent from the lattice
-    checked = np.zeros(n_tiles, dtype=bool)
-    found = []           # lattice edge of each checked tile edge, or -1
-    for kind, row in zip(kinds, member):
-        pos = np.flatnonzero(row)
-        tmpl = _CATALOG.get(kind)
-        if tmpl is None:
-            early.update((p, f"unknown tile kind {kind}") for p in pos.tolist())
-            continue
-        resized = ~_equal(size[pos], tmpl.n_sites)
-        early.update((p, f"{kind} tile has {size[p]} sites")
-                     for p in pos[resized].tolist())
-        pos = pos[~resized]
-        entries = offset[pos][:, None] + np.arange(tmpl.n_sites)
-        missing = ~valid[entries].all(axis=1)
-        early.update((p, f"tile references missing site: {sites_of(p)}")
-                     for p in pos[missing].tolist())
-        pos, arr = pos[~missing], flat[entries[~missing]]
-        checked[pos] = True
-
-        a, b = np.array(tmpl.local_edges).T
-        lo = np.minimum(arr[:, a], arr[:, b])
-        hi = np.maximum(arr[:, a], arr[:, b])
-        at = lattice.edge_positions(lo, hi)
-        found.append(at.ravel())
-        if at.size and int(at.min()) < 0:
-            for r in np.flatnonzero((at < 0).any(axis=1)).tolist():
-                gone = at[r] < 0
-                absent[int(pos[r])] = sorted(zip(lo[r][gone].tolist(),
-                                                 hi[r][gone].tolist()))
-
-    # each section writes its entry numbers into a site-indexed array, so a
-    # site keeps one entry; a section where some entry is not kept holds a
-    # site twice, in one tile or in two, and is walked tile by tile
-    held = np.repeat(checked, size)
-    site = flat[held]
-    tile = np.repeat(np.arange(n_tiles), size)[held]
-    ends = np.cumsum(np.bincount(section[tile], minlength=len(cover.sections)))
-    owner = np.full(n, -1)
-    repeats: set = set()
-    overlap: dict = {}
-    for start, end in zip([0, *ends[:-1].tolist()], ends.tolist()):
-        owner[site[start:end]] = np.arange(start, end)
-        kept = np.zeros(end - start, dtype=bool)
-        kept[owner[site[start:end]] - start] = True
-        if kept.all():
-            continue
-        used: set = set()
-        for p, group in groupby(zip(tile[start:end].tolist(),
-                                    site[start:end].tolist()), key=itemgetter(0)):
-            mine = [i for _, i in group]
-            if len(set(mine)) < len(mine):
-                repeats.add(p)
-            if used & set(mine):
-                overlap[p] = sorted(used & set(mine))
-            used.update(mine)
-
+    tiles of its section, and its edges count toward edge coverage.
+    Violations are listed tile by tile in cover order, then duplicate edges
+    in edge order, then uncovered lattice edges."""
+    if _is_valid(lattice, cover):
+        return CoverReport(True)
     violations = []
-    for p in sorted(set(early) | repeats | set(absent) | set(overlap)):
-        if p in early:
-            violations.append(early[p])
-            continue
-        if p in repeats:
-            violations.append(f"tile repeats a site: {sites_of(p)}")
-        violations.extend(f"tile edge ({i},{j}) absent from lattice"
-                          for i, j in absent.get(p, ()))
-        if p in overlap:
-            violations.append(f"section overlap in "
-                              f"{cover.sections[section[p]].color}: "
-                              f"sites {overlap[p]}")
+    lattice_edges = set(lattice.edges)
+    seen_edges: dict = {}
+    for sec in cover.sections:
+        used_sites: set = set()
+        for tile in sec.tiles:
+            tmpl = _CATALOG.get(tile.kind)
+            if tmpl is None:
+                violations.append(f"unknown tile kind {tile.kind}")
+                continue
+            if len(tile.sites) != tmpl.n_sites:
+                violations.append(f"{tile.kind} tile has {len(tile.sites)} sites")
+                continue
+            if not all(0 <= i < lattice.n_sites for i in tile.sites):
+                violations.append(f"tile references missing site: {tile.sites}")
+                continue
+            if len(set(tile.sites)) != len(tile.sites):
+                violations.append(f"tile repeats a site: {tile.sites}")
+            for i, j in tile.edges:
+                if (i, j) not in lattice_edges:
+                    violations.append(f"tile edge ({i},{j}) absent from lattice")
+                seen_edges[(i, j)] = seen_edges.get((i, j), 0) + 1
+            overlap = used_sites & set(tile.sites)
+            if overlap:
+                violations.append(
+                    f"section overlap in {sec.color}: sites {sorted(overlap)}")
+            used_sites.update(tile.sites)
 
-    # bin 0 takes the absent edges
-    covered = np.bincount(np.concatenate([np.zeros(0, np.int64), *found]) + 1,
-                          minlength=lattice.n_edges + 1)[1:]
-    if absent or int(covered.min(initial=1)) < 1 or int(covered.max(initial=1)) > 1:
-        head, tail = lattice.edge_ends()
-        twice = np.flatnonzero(covered > 1)
-        repeated = list(zip(head[twice].tolist(), tail[twice].tolist(),
-                            covered[twice].tolist()))
-        repeated += [(*e, c) for e, c in Counter(
-            e for gone in absent.values() for e in gone).items() if c > 1]
-        violations.extend(f"duplicate edge {(i, j)} covered {c} times"
-                          for i, j, c in sorted(repeated))
-        violations.extend(f"edge {lattice.edges[e]} not covered"
-                          for e in np.flatnonzero(covered == 0).tolist())
+    violations.extend(f"duplicate edge {e} covered {c} times"
+                      for e, c in sorted(seen_edges.items()) if c > 1)
+    violations.extend(f"edge {e} not covered"
+                      for e in lattice.edges if e not in seen_edges)
     return CoverReport(not violations, violations)
 
 
-def _tile_columns(cover: SectionCover, kinds: dict, n: int) -> tuple:
-    """Per tile of ``cover`` in order, its kind (an index into ``kinds``,
-    which is extended in first-seen order) and its site count; the sites of
-    all tiles flattened, and the mask of those that are site indices of an
-    n-site lattice (the others read 0); and the tile count of each section."""
-    parts: list = []
+def check_cover(lattice: LatticeGraph, cover: SectionCover, what: str):
+    """Raise ``CoverError`` with ``what`` and the violations of an invalid
+    cover."""
+    report = validate_cover(lattice, cover)
+    if not report.valid:
+        raise CoverError(f"{what}: " + "; ".join(report.violations))
+
+
+def _is_valid(lattice: LatticeGraph, cover: SectionCover) -> bool:
+    """Whether every run holds catalog tiles of the catalog width on lattice
+    sites, no section holds a site twice, and the tile edges are the
+    lattice edges, each once."""
+    n = lattice.n_sites
+    lo, hi = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
     for sec in cover.sections:
+        sites = [np.zeros(0, np.int64)]
         for kind, arr in sec.runs:
-            t, q = arr.shape
-            flat = arr.ravel()
-            valid = np.ones(len(flat), dtype=bool)
-            if t * q and (int(flat.min()) < 0 or int(flat.max()) >= n):
-                valid = _equal(np.clip(flat, 0, n - 1), flat)
-                flat = flat * valid
-            parts.append((np.repeat(kinds.setdefault(kind, len(kinds)), t),
-                          np.repeat(q, t), flat, valid))
-    empty = (np.zeros(0, np.int64),) * 3 + (np.zeros(0, bool),)
-    return (*(np.concatenate(column) for column in zip(empty, *parts)),
-            np.array([sec.n_tiles for sec in cover.sections], dtype=np.int64))
+            tmpl = _CATALOG.get(kind)
+            # merged runs are non-empty, so a run of the catalog width has sites
+            if tmpl is None or arr.shape[1] != tmpl.n_sites:
+                return False
+            if int(arr.min()) < 0 or int(arr.max()) >= n:
+                return False
+            sites.append(arr.ravel())
+            a, b = np.array(tmpl.local_edges).T
+            lo.append(np.minimum(arr[:, a], arr[:, b]).ravel())
+            hi.append(np.maximum(arr[:, a], arr[:, b]).ravel())
+        if int(np.bincount(np.concatenate(sites)).max(initial=0)) > 1:
+            return False
+    at = lattice.edge_positions(np.concatenate(lo), np.concatenate(hi))
+    return (at.size == lattice.n_edges and int(at.min(initial=0)) >= 0
+            and int(np.bincount(at).max(initial=0)) <= 1)
 
 
 def cover_tile_census(cover: SectionCover) -> list:

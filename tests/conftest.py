@@ -67,9 +67,10 @@ def exact_spectral_norm(op):
                for m in oracle._sector_sets(labels))
 
 
-# loop references of the periodic lattice, its cover and cover validation:
-# the package builds and checks them on integer arrays, and the tests check
-# that the arrays give the same objects and the same violations
+# loop references of the periodic lattice, its cover, the greedy fragment
+# cover and cover validation: the package builds them on integer arrays or
+# incidence lists and decides validity on the arrays, and the tests check
+# that these give the same objects and the same violations
 
 
 def loop_build_periodic_hex(l_x, l_y):
@@ -116,6 +117,48 @@ def loop_cover_periodic_hex(lattice):
     report = loop_validate_cover(lattice, cover)
     if not report.valid:
         raise CoverError("periodic cover construction failed: "
+                         + "; ".join(report.violations))
+    return cover
+
+
+def loop_cover_hex_fragment(lattice):
+    if lattice.kind not in ("hex_fragment", "square_fragment", "ring", "custom"):
+        raise CoverError("greedy cover expects a fragment lattice")
+
+    uncovered = set(lattice.edges)
+    tiles = []
+    deg = lattice.degrees()
+    for i in range(lattice.n_sites):
+        if deg[i] != 3:
+            continue
+        mine = sorted(e for e in uncovered if i in e)
+        if len(mine) >= 2:
+            (a, b), (c, d) = mine[0], mine[1]
+            leaves = tuple(sorted({a, b, c, d} - {i}))
+            tiles.append(Tile("S2", (i,) + leaves))
+            uncovered.discard(mine[0])
+            uncovered.discard(mine[1])
+    for e in sorted(uncovered):
+        tiles.append(Tile("S1", e))
+
+    buckets: list = []
+    occupied: list = []
+    for tile in sorted(tiles, key=lambda t: t.sites):
+        k = next((k for k, sites in enumerate(occupied)
+                  if not sites & set(tile.sites)), len(occupied))
+        if k == len(occupied):
+            buckets.append([])
+            occupied.append(set())
+        buckets[k].append(tile)
+        occupied[k].update(tile.sites)
+
+    colors = (["blue", "red", "gold", "extra"]
+              + [f"extra{k}" for k in range(2, len(buckets) - 2)])
+    sections = tuple(Section(c, tuple(b)) for c, b in zip(colors, buckets))
+    cover = SectionCover(lattice, sections)
+    report = loop_validate_cover(lattice, cover)
+    if not report.valid:
+        raise CoverError("greedy cover failed validation: "
                          + "; ".join(report.violations))
     return cover
 

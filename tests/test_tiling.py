@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (PARALLELOGRAM_CELLS, loop_build_periodic_hex,
-                      loop_cover_periodic_hex, loop_validate_cover)
+                      loop_cover_hex_fragment, loop_cover_periodic_hex,
+                      loop_validate_cover)
 from fthub.lattice import (LatticeGraph, SiteInfo, build_hex_fragment,
                            build_periodic_hex, build_square_fragment,
                            lattice_to_json, ring_lattice, single_hexagon)
 from fthub.tiling import (CoverError, Section, SectionCover, Tile, chain_rotation,
-                          cover_from_json, cover_hex_fragment, cover_periodic_hex,
-                          cover_tile_census, cover_to_json, tile_catalog,
-                          validate_cover)
+                          check_cover, cover_from_json, cover_hex_fragment,
+                          cover_periodic_hex, cover_tile_census, cover_to_json,
+                          tile_catalog, validate_cover)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -324,6 +325,13 @@ def _base_covers():
 
 _BASE_COVERS = _base_covers()
 
+# valid covers at benchmark size: a periodic L = 24 cover and a 20 x 20
+# cell hexagonal patch
+HEX_24 = build_periodic_hex(24, 24)
+PATCH_20 = build_hex_fragment([(l, m) for l in range(20) for m in range(20)])
+_LARGE_COVERS = [(HEX_24, cover_periodic_hex(HEX_24)),
+                 (PATCH_20, cover_hex_fragment(PATCH_20))]
+
 
 def _mutate(data, lattice, sections):
     """Apply one drawn mutation to ``sections``, a list of [color, tiles]
@@ -430,7 +438,7 @@ class TestValidateAgainstLoop:
                      loop_validate_cover(lattice, mutated))
         assert (got.valid, got.violations) == (want.valid, want.violations)
 
-    @pytest.mark.parametrize("lattice,cover", _BASE_COVERS)
+    @pytest.mark.parametrize("lattice,cover", _BASE_COVERS + _LARGE_COVERS)
     def test_base_covers(self, lattice, cover):
         got, want = validate_cover(lattice, cover), loop_validate_cover(lattice, cover)
         assert (got.valid, got.violations) == (want.valid, want.violations)
@@ -442,3 +450,50 @@ class TestValidateAgainstLoop:
         got, want = validate_cover(hexagon, cover), loop_validate_cover(hexagon, cover)
         assert (got.valid, got.violations) == (want.valid, want.violations)
         assert got.violations[-1] == "duplicate edge (0, 2) covered 2 times"
+
+    def test_tile_moved_to_another_section_at_scale(self):
+        # every edge is still covered once; the moved tile overlaps its new
+        # section
+        lattice = build_periodic_hex(64, 64)
+        blue, red, gold = cover_periodic_hex(lattice).sections
+        (_, sites), = blue.runs
+        cover = SectionCover(lattice, (
+            Section("blue", runs=[("S2", sites[1:])]),
+            Section("red", runs=[*red.runs, ("S2", sites[:1])]), gold))
+        got, want = validate_cover(lattice, cover), loop_validate_cover(lattice, cover)
+        assert not got.valid
+        assert (got.valid, got.violations) == (want.valid, want.violations)
+        assert all(v.startswith("section overlap in red") for v in got.violations)
+
+
+class TestCheckCover:
+    def test_invalid_cover_raises_with_the_violations(self, hexagon, hexagon_cover):
+        first, *rest = hexagon_cover.sections
+        dropped = SectionCover(hexagon, (Section("blue", first.tiles[1:]), *rest))
+        want = "; ".join(validate_cover(hexagon, dropped).violations)
+        with pytest.raises(CoverError) as err:
+            check_cover(hexagon, dropped, "manual cover invalid")
+        assert str(err.value) == f"manual cover invalid: {want}"
+        assert isinstance(err.value, ValueError)
+
+
+class TestGreedyAgainstLoop:
+    """The greedy fragment cover reads incident edges from per-site lists;
+    it gives the cover of the scan over every uncovered edge."""
+
+    @pytest.mark.parametrize("fixture", ["hexagon", "parallelogram", "chevron",
+                                         "ring4", "ring5", "ring6"])
+    def test_fragment_fixtures(self, fixture, request):
+        lat = request.getfixturevalue(fixture)
+        assert (cover_to_json(cover_hex_fragment(lat))
+                == cover_to_json(loop_cover_hex_fragment(lat)))
+
+    @pytest.mark.parametrize("l", range(4, 10))
+    def test_square_fragments(self, l):
+        lat = build_square_fragment(l, l)
+        assert (cover_to_json(cover_hex_fragment(lat))
+                == cover_to_json(loop_cover_hex_fragment(lat)))
+
+    def test_20x20_patch(self):
+        assert (cover_to_json(cover_hex_fragment(PATCH_20))
+                == cover_to_json(loop_cover_hex_fragment(PATCH_20)))
