@@ -16,8 +16,9 @@ distinct bonds (i, j), i < j, checked on entry.  Degrees, neighbor lists
 and the edge count are computed from them, so memory grows with the number
 of bonds, not with N^2.  The ``edges`` tuple of every lattice, and the
 ``SiteInfo`` objects of a periodic one, are derived on first read; the
-estimator never reads them.  The dense N x N adjacency matrix is derived
-on request, for small lattices only.
+estimator never reads them, and a lattice of ``build_periodic_hex`` builds
+its edge codes on first read too.  The dense N x N adjacency matrix is
+derived on request, for small lattices only.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import functools
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -51,7 +53,9 @@ class LatticeGraph:
     ``edge_codes`` directly; either is checked on entry and only the codes
     are kept.  The ``edges`` tuple is derived from the codes on first read,
     and so is ``site_info`` of a lattice built without it (a
-    ``periodic_hex`` lattice, whose sites follow from ``dims``)."""
+    ``periodic_hex`` lattice, whose sites follow from ``dims``).  A
+    ``build_periodic_hex`` lattice builds its edge codes on first read, and
+    the geometry memo finds its key by dims, so a memo hit reads no array."""
 
     def __init__(self, n_sites: int, edges=None, site_info=None,
                  kind: str = "custom", dims=None, *, edge_codes=None):
@@ -264,22 +268,33 @@ def check_periodic_dims(l_x: int, l_y: int):
 
 
 def build_periodic_hex(l_x: int, l_y: int) -> LatticeGraph:
-    """Periodic hexagonal lattice with 2 * l_x * l_y sites, 3-regular."""
+    """Periodic hexagonal lattice with 2 * l_x * l_y sites, 3-regular; its
+    edge codes are built on first read."""
     check_periodic_dims(l_x, l_y)
-    n = 2 * l_x * l_y
-    check_lattice_memory(n)
-    # the color-0 site of each cell is bonded to the color-1 sites of the
-    # cell and of its -x and -y neighbors
-    m, l = np.divmod(np.arange(l_x * l_y), l_x)
-    head = hex_site_index(l, m, 0, l_x, l_y)
-    tail = np.stack([hex_site_index(l + dl, m + dm, 1, l_x, l_y)
-                     for dl, dm in ((0, 0), (-1, 0), (0, -1))])
-    # each bond once (the three tails of a head differ on every torus of
-    # at least 2 x 2 cells), as the code i * n + j of i < j, ascending
-    codes = sorted((np.minimum(head, tail) * n
-                    + np.maximum(head, tail)).ravel().tolist())
-    return LatticeGraph(n, kind="periodic_hex", dims=(l_x, l_y),
-                        edge_codes=codes)
+    check_lattice_memory(2 * l_x * l_y)
+    return _PeriodicHex(l_x, l_y)
+
+
+class _PeriodicHex(LatticeGraph):
+    """A ``build_periodic_hex`` lattice, its edge codes built on first read."""
+
+    def __init__(self, l_x: int, l_y: int):
+        self.n_sites, self.kind, self.dims = 2 * l_x * l_y, "periodic_hex", (l_x, l_y)
+
+    @functools.cached_property
+    def edge_codes(self) -> np.ndarray:
+        l_x, l_y = self.dims
+        n = self.n_sites
+        # the color-0 site of each cell is bonded to the color-1 sites of the
+        # cell and of its -x and -y neighbors
+        m, l = np.divmod(np.arange(l_x * l_y), l_x)
+        head = hex_site_index(l, m, 0, l_x, l_y)
+        tail = np.stack([hex_site_index(l + dl, m + dm, 1, l_x, l_y)
+                         for dl, dm in ((0, 0), (-1, 0), (0, -1))])
+        # each bond once (the three tails of a head differ on every torus of
+        # at least 2 x 2 cells), as the code i * n + j of i < j, ascending
+        return _checked_codes(sorted((np.minimum(head, tail) * n
+                                      + np.maximum(head, tail)).ravel().tolist()), n)
 
 
 # ---------------------------------------------------------------------------
@@ -436,14 +451,27 @@ def symmetry_generators(lattice: LatticeGraph) -> list:
 
 
 def lattice_to_json(lattice: LatticeGraph) -> str:
-    doc = {
-        "kind": lattice.kind,
-        "dims": list(lattice.dims) if lattice.dims else None,
-        "sites": [{"i": s.index, "l_x": s.l_x, "l_y": s.l_y, "c": s.color,
-                   "role": s.role} for s in lattice.site_info],
-        "edges": lattice.edge_array().tolist(),
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    """The text of ``json.dumps(doc, indent=1, sort_keys=True)``, built from
+    templates (that encoder runs in pure Python); every site field but
+    ``role`` is an integer."""
+    dims = _json_list(list(map(str, lattice.dims)), 1) if lattice.dims else "null"
+    sites = ['{{\n   "c": {},\n   "i": {},\n   "l_x": {},\n   "l_y": {},\n'
+             '   "role": {}\n  }}'.format(s.color, s.index, s.l_x, s.l_y,
+                                         encode_basestring_ascii(s.role))
+             for s in lattice.site_info]
+    edges = [f"[\n   {i},\n   {j}\n  ]" for i, j in lattice.edge_array().tolist()]
+    return (f'{{\n "dims": {dims},\n "edges": {_json_list(edges, 1)},\n'
+            f' "kind": {encode_basestring_ascii(lattice.kind)},\n'
+            f' "sites": {_json_list(sites, 1)}\n}}')
+
+
+def _json_list(items: list, depth: int) -> str:
+    """The JSON texts ``items`` as a list nested ``depth`` levels deep, laid
+    out as ``json.dumps(..., indent=1)`` lays it out."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
 
 
 def lattice_from_json(text: str) -> LatticeGraph:

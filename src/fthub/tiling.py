@@ -20,10 +20,11 @@ import functools
 import json
 from dataclasses import dataclass, field
 from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .lattice import LatticeGraph, hex_site_index
+from .lattice import LatticeGraph, _json_list, hex_site_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -240,34 +241,49 @@ def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
     """Three-section S2 cover of the periodic hexagonal lattice.
 
     Each section holds N/4 tiles.  Requires even L_x and L_y; odd dimensions
-    break the parity rules and raise :class:`CoverError`.
+    break the parity rules and raise :class:`CoverError`.  The sections are
+    built, and checked with ``check_cover``, when first read; the geometry
+    memo finds the cover's key by dims, so a memo hit builds no section.
     """
     if lattice.kind != "periodic_hex":
         raise CoverError("cover_periodic_hex needs a periodic_hex lattice")
     check_cover_dims(*lattice.dims)
-    l_x, l_y = lattice.dims
-    # cells in m-major, l-minor order; l_x is even, so the even columns are
-    # the even cells
-    m, l = np.divmod(np.arange(l_x * l_y), l_x)
+    return _PeriodicCover(lattice)
 
-    def s(dl, dm, c):
-        return hex_site_index(l + dl, m + dm, c, l_x, l_y)
 
-    # even columns: intra-cell + x-neighbor bonds, centered on the color-0
-    # site (red), and x-neighbor + y-neighbor bonds, centered on the color-1
-    # site; odd columns: intra-cell + y-neighbor bonds, centered on the
-    # color-0 site.  Blue takes the cells with m + l // 2 + l odd.
-    red = np.stack([s(0, 0, 0), s(0, 0, 1), s(-1, 0, 1)], axis=1)[::2]
-    other = np.stack([s(0, 0, 0), s(0, 0, 1), s(0, -1, 1)], axis=1)
-    other[::2] = np.stack([s(0, 0, 1), s(1, 0, 0), s(0, 1, 0)], axis=1)[::2]
-    parity = (m + l // 2 + l) % 2
+class _PeriodicCover(SectionCover):
+    """A ``cover_periodic_hex`` cover, its sections built on first read."""
 
-    cover = SectionCover(lattice, (
-        Section("blue", runs=[("S2", other[np.flatnonzero(parity)])]),
-        Section("red", runs=[("S2", red)]),
-        Section("gold", runs=[("S2", other[np.flatnonzero(1 - parity)])])))
-    check_cover(lattice, cover, "periodic cover construction failed")
-    return cover
+    n_sections = 3
+
+    def __init__(self, lattice: LatticeGraph):
+        object.__setattr__(self, "lattice", lattice)
+
+    @functools.cached_property
+    def sections(self) -> tuple:
+        l_x, l_y = self.lattice.dims
+        # cells in m-major, l-minor order; l_x is even, so the even columns
+        # are the even cells
+        m, l = np.divmod(np.arange(l_x * l_y), l_x)
+
+        def s(dl, dm, c):
+            return hex_site_index(l + dl, m + dm, c, l_x, l_y)
+
+        # even columns: intra-cell + x-neighbor bonds on the color-0 site
+        # (red), and x-neighbor + y-neighbor bonds on the color-1 site; odd
+        # columns: intra-cell + y-neighbor bonds on the color-0 site.  Blue
+        # takes the cells with m + l // 2 + l odd.
+        red = np.stack([s(0, 0, 0), s(0, 0, 1), s(-1, 0, 1)], axis=1)[::2]
+        other = np.stack([s(0, 0, 0), s(0, 0, 1), s(0, -1, 1)], axis=1)
+        other[::2] = np.stack([s(0, 0, 1), s(1, 0, 0), s(0, 1, 0)], axis=1)[::2]
+        parity = (m + l // 2 + l) % 2
+
+        sections = (Section("blue", runs=[("S2", other[np.flatnonzero(parity)])]),
+                    Section("red", runs=[("S2", red)]),
+                    Section("gold", runs=[("S2", other[np.flatnonzero(1 - parity)])]))
+        check_cover(self.lattice, SectionCover(self.lattice, sections),
+                    "periodic cover construction failed")
+        return sections
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +446,16 @@ def cover_tile_census(cover: SectionCover) -> list:
 
 
 def cover_to_json(cover: SectionCover) -> str:
-    doc = {"sections": [{"color": sec.color,
-                         "tiles": [{"kind": kind, "sites": sites}
-                                   for kind, sites in sec.rows()]}
-                        for sec in cover.sections]}
-    return json.dumps(doc, indent=1, sort_keys=True)
+    """The text of ``json.dumps(doc, indent=1, sort_keys=True)``, built
+    from templates as in ``lattice_to_json``."""
+    sections = [
+        '{{\n   "color": {},\n   "tiles": {}\n  }}'.format(
+            encode_basestring_ascii(sec.color),
+            _json_list(['{{\n     "kind": {},\n     "sites": {}\n    }}'.format(
+                encode_basestring_ascii(kind), _json_list(list(map(str, sites)), 5))
+                for kind, sites in sec.rows()], 3))
+        for sec in cover.sections]
+    return f'{{\n "sections": {_json_list(sections, 1)}\n}}'
 
 
 def cover_from_json(text: str, lattice: LatticeGraph) -> SectionCover:

@@ -35,10 +35,13 @@ raw star values (k, |S_k|_1, |i[S_k, R]|_1 and the maxima over the
 lattice's (kind, dims, n_sites) and the bytes of its edge codes and, for a
 cover, also each section's ``key`` (colour, tile kinds and site bytes) in
 section order.  Lattices and covers built separately with equal content
-share an entry, whichever constructor built them.  The memo holds floats
-only; the tau scaling is applied after the lookup with the expressions of
-the unmemoized code, so every output is bit-identical to a cold
-evaluation.
+share an entry, whichever constructor built them.  A ``build_periodic_hex``
+lattice and its ``cover_periodic_hex`` cover build their arrays when first
+read; ``_key_by_dims`` finds their key by dims, so a memo hit builds no
+array (``w_so2_extended`` takes k from the star values).  The memo holds
+floats only; the tau scaling is applied after the lookup with the
+expressions of the unmemoized code, so every output is bit-identical to a
+cold evaluation.
 
 On 3-regular lattices the neighbor-interaction bound is pinned to the
 tabulated constant 3*V*tau^2*N*(16 + 2*sqrt(3)) that the reference
@@ -59,8 +62,8 @@ import numpy as np
 
 from .freefermion import (_commutator_ah, _commutator_hh, schatten1,
                           translation_blocks)
-from .lattice import LatticeGraph, regular_degree
-from .tiling import SectionCover
+from .lattice import LatticeGraph, _PeriodicHex, regular_degree
+from .tiling import SectionCover, _PeriodicCover
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -135,8 +138,32 @@ class _Geometry:
 
 
 def _lattice_key(lattice: LatticeGraph) -> tuple:
+    if isinstance(lattice, _PeriodicHex):
+        return _memoized(_key_by_dims, (_lattice_content, lattice.dims), lattice)
+    return _lattice_content(lattice)
+
+
+def _cover_key(cover: SectionCover) -> tuple:
+    if isinstance(cover, _PeriodicCover) and isinstance(cover.lattice, _PeriodicHex):
+        return _memoized(_key_by_dims, (_cover_content, cover.lattice.dims), cover)
+    return _cover_content(cover)
+
+
+def _lattice_content(lattice: LatticeGraph) -> tuple:
     return (lattice.kind, lattice.dims, lattice.n_sites,
             lattice.edge_codes.tobytes())
+
+
+def _cover_content(cover: SectionCover) -> tuple:
+    return (_lattice_key(cover.lattice), tuple(sec.key for sec in cover.sections))
+
+
+# a lattice and a cover per dims
+@functools.lru_cache(maxsize=2 * _GEOMETRY_MEMO_SIZE)
+def _key_by_dims(geometry: _Geometry) -> tuple:
+    """The content key of a builder lattice or cover, taken from it on a miss."""
+    content, _ = geometry.key
+    return content(geometry.obj)
 
 
 def _memoized(memo, key, obj):
@@ -219,7 +246,7 @@ def _star_values(geometry: _Geometry) -> tuple:
     lattice = geometry.obj
     k = regular_degree(lattice)
     if k is None:
-        raise BoundUnsupportedError("star norms need a k-regular lattice")
+        raise BoundUnsupportedError("extended-model bound needs a k-regular lattice")
     near = lattice.neighbors(0)
     rest = {j for i in near for j in lattice.neighbors(i)} - {0, *near}
     ball = [0] + near + sorted(rest)
@@ -255,19 +282,18 @@ def w_so2_extended(lattice: LatticeGraph, params: ModelParams) -> TrotterErrorBr
     VHH form falls below the exact norm."""
     if params.model != "extended_hubbard":
         raise BoundUnsupportedError("w_so2_extended needs the extended model")
-    k = regular_degree(lattice)
-    if k is None:
-        raise BoundUnsupportedError("extended-model bound needs a k-regular lattice")
+    u, v, tau = params.u, params.v, params.tau
+    # k comes with the star values, which refuse a lattice that is not regular
+    stars = _star_norms(lattice, tau)
+    k = stars["k"]
     if k == 1:
         raise BoundUnsupportedError("extended-model bound has no k = 1 form")
-    u, v, tau = params.u, params.v, params.tau
     n = lattice.n_sites
     r1 = _adjacency_schatten1(lattice)
 
     comm_chc = ((u**2 + k * v**2) * tau * r1
                 + ((4 * k - 2) * tau * u * v + (k - 1) * (4 * k - 1) * tau * v**2) * k * n)
 
-    stars = _star_norms(lattice, tau)
     # on-site term, evaluated per site: (U/2) N (|[T,H_h]| + 2 |T|^2) with the
     # two-sector star T; on 3-regular lattices this is (12 + sqrt(6)) U tau^2 N
     comm_ihh = (u / 2.0) * n * (2 * stars["comm_k"] + 2 * (2 * stars["norm_k"]) ** 2)
@@ -307,9 +333,7 @@ def w_h(cover: SectionCover, tau: float) -> float:
     and every T12 term of its pair: a three-section cover costs 3 + 8 block
     products.
     """
-    t12, t24 = _memoized(_section_sums, (_lattice_key(cover.lattice),
-                                         tuple(sec.key for sec in cover.sections)),
-                         cover)
+    t12, t24 = _memoized(_section_sums, _cover_key(cover), cover)
     return tau**3 * (t12 / 12.0 + t24 / 24.0)
 
 

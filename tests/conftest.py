@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,29 @@ def loop_validate_cover(lattice, cover):
         if e not in seen_edges:
             violations.append(f"edge {e} not covered")
     return CoverReport(not violations, violations)
+
+
+# json references of the JSON writers, which build the same text from
+# templates
+
+
+def json_lattice_to_json(lattice):
+    doc = {
+        "kind": lattice.kind,
+        "dims": list(lattice.dims) if lattice.dims else None,
+        "sites": [{"i": s.index, "l_x": s.l_x, "l_y": s.l_y, "c": s.color,
+                   "role": s.role} for s in lattice.site_info],
+        "edges": lattice.edge_array().tolist(),
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def json_cover_to_json(cover):
+    doc = {"sections": [{"color": sec.color,
+                         "tiles": [{"kind": tile.kind, "sites": list(tile.sites)}
+                                   for tile in sec.tiles]}
+                        for sec in cover.sections]}
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def clear_geometry_memos():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (PARALLELOGRAM_CELLS, loop_build_periodic_hex,
+from conftest import (CHEVRON_CELLS, PARALLELOGRAM_CELLS, json_cover_to_json,
+                      json_lattice_to_json, loop_build_periodic_hex,
                       loop_cover_hex_fragment, loop_cover_periodic_hex,
                       loop_validate_cover)
 from fthub.lattice import (LatticeGraph, SiteInfo, build_hex_fragment,
@@ -497,3 +498,60 @@ class TestGreedyAgainstLoop:
     def test_20x20_patch(self):
         assert (cover_to_json(cover_hex_fragment(PATCH_20))
                 == cover_to_json(loop_cover_hex_fragment(PATCH_20)))
+
+
+def _custom_ring(n):
+    info = tuple(SiteInfo(i, i, 0, 0, "center") for i in range(n))
+    edges = sorted(tuple(sorted((i, (i + 1) % n))) for i in range(n))
+    return LatticeGraph(n, edges, info, "custom")
+
+
+class TestJsonWriters:
+    """The template JSON writers give ``json.dumps(doc, indent=1,
+    sort_keys=True)`` byte for byte."""
+
+    @staticmethod
+    def assert_same(lattice, cover=None):
+        assert lattice_to_json(lattice) == json_lattice_to_json(lattice)
+        if cover is not None:
+            assert cover_to_json(cover) == json_cover_to_json(cover)
+
+    @pytest.mark.parametrize("l", range(2, 19))
+    def test_periodic(self, l):
+        lattice = build_periodic_hex(l, l)
+        self.assert_same(lattice, cover_periodic_hex(lattice) if l % 2 == 0 else None)
+
+    def test_rectangular_periodic(self):
+        lattice = build_periodic_hex(6, 4)
+        self.assert_same(lattice, cover_periodic_hex(lattice))
+
+    @pytest.mark.parametrize("cells", [[(0, 0)], [(0, 0), (1, 0)], CHEVRON_CELLS,
+                                       PARALLELOGRAM_CELLS,
+                                       [(l, m) for l in range(10) for m in range(10)]],
+                             ids=["hexagon", "pair", "chevron", "parallelogram",
+                                  "patch10"])
+    def test_fragments(self, cells):
+        lattice = build_hex_fragment(cells)
+        self.assert_same(lattice, cover_hex_fragment(lattice))
+
+    @pytest.mark.parametrize("l", range(4, 10))
+    def test_square_fragments(self, l):
+        lattice = build_square_fragment(l, l)
+        self.assert_same(lattice, cover_hex_fragment(lattice))
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_custom_ring(self, n):
+        lattice = _custom_ring(n)
+        self.assert_same(lattice, cover_hex_fragment(lattice))
+        self.assert_same(ring_lattice(n), cover_hex_fragment(ring_lattice(n)))
+
+    def test_empty_lists_and_escaped_strings(self):
+        bare = LatticeGraph(2, (), (SiteInfo(0, 0, 0, 0, 'e"dge\u00e9'),
+                                    SiteInfo(1, 1, 0, 1, "edge")), "custom")
+        self.assert_same(bare, SectionCover(bare, ()))
+        self.assert_same(LatticeGraph(0, (), (), "custom", ()))
+        hexagon = single_hexagon()
+        tiles = cover_hex_fragment(hexagon).sections[0].tiles
+        self.assert_same(hexagon, SectionCover(hexagon, (
+            Section("bl\u00fc\\e", tiles), Section("none", ()),
+            Section("odd", runs=[("S3", np.zeros((2, 0), dtype=np.int64))]))))

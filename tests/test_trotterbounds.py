@@ -7,10 +7,10 @@ import pytest
 
 from conftest import (clear_geometry_memos, loop_build_periodic_hex,
                       loop_cover_periodic_hex, section_adjacency, star_matrix)
-from fthub import cli, freefermion, oracle, trotterbounds
+from fthub import cli, freefermion, oracle, tiling, trotterbounds
 from fthub.freefermion import schatten1, translation_blocks, translation_periods
 from fthub.lattice import LatticeGraph, SiteInfo, build_periodic_hex, hex_site_index
-from fthub.tiling import (Section, SectionCover, Tile, cover_from_json,
+from fthub.tiling import (CoverError, Section, SectionCover, Tile, cover_from_json,
                           cover_hex_fragment, cover_periodic_hex, cover_to_json,
                           validate_cover)
 from fthub.trotterbounds import (BoundUnsupportedError, ModelParams, w_h,
@@ -506,3 +506,84 @@ class TestGeometryMemo:
             with pytest.raises(BoundUnsupportedError):
                 trotterbounds._star_norms(parallelogram, 1.0)
         assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
+
+
+def _builder_pair(l):
+    lattice = build_periodic_hex(l, l)
+    return lattice, cover_periodic_hex(lattice)
+
+
+def _built(lattice, cover):
+    """Whether the edge codes of a builder lattice, and the sections of a
+    builder cover, have been built."""
+    return "edge_codes" in vars(lattice), "sections" in vars(cover)
+
+
+def _params(model):
+    return ModelParams(model, tau=0.7, u=3.0,
+                       v=1.5 if model == "extended_hubbard" else 0.0)
+
+
+class TestBuilderGeometry:
+    """A builder lattice and cover find their memo key by dims, so a memo
+    hit builds neither the edge codes nor the sections."""
+
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    def test_memo_hit_builds_no_array(self, model):
+        first = _builder_pair(8)
+        assert _built(*first) == (False, False)
+        cold = w_tile(*first, _params(model))
+        assert _built(*first) == (True, True)
+        second = _builder_pair(8)
+        warm = w_tile(*second, _params(model))
+        assert _built(*second) == (False, False)
+        assert warm.components == cold.components
+
+    @pytest.mark.parametrize("l", range(4, 25, 2))
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    def test_cold_equals_warm(self, l, model):
+        cold = w_tile(*_builder_pair(l), _params(model))
+        pair = _builder_pair(l)
+        warm = w_tile(*pair, _params(model))
+        assert _built(*pair) == (False, False)
+        assert warm.components == cold.components
+        assert (warm.w_so2, warm.w_h) == (cold.w_so2, cold.w_h)
+
+    def _count_checks(self, monkeypatch):
+        calls = []
+
+        def counted(lattice, cover, what):
+            calls.append(what)
+            return check_cover(lattice, cover, what)
+
+        check_cover = tiling.check_cover
+        monkeypatch.setattr(tiling, "check_cover", counted)
+        return calls
+
+    def test_reading_sections_checks_the_cover_once(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        _, cover = _builder_pair(6)
+        assert calls == []
+        sections = cover.sections
+        assert cover.sections is sections
+        assert [sec.color for sec in sections] == ["blue", "red", "gold"]
+        assert calls == ["periodic cover construction failed"]
+
+    def test_cold_call_checks_once_and_a_hit_never(self, monkeypatch,
+                                                   extended_params):
+        calls = self._count_checks(monkeypatch)
+        w_tile(*_builder_pair(6), extended_params)
+        assert len(calls) == 1
+        w_tile(*_builder_pair(6), ModelParams("extended_hubbard", tau=0.3))
+        assert len(calls) == 1
+
+    def test_lattice_from_edges_is_keyed_and_checked_by_content(
+            self, hubbard_params):
+        # a builder cover on a lattice given by its edges is not served by
+        # dims: one dropped bond fails the check of its sections
+        w_tile(*_builder_pair(4), hubbard_params)
+        lattice = build_periodic_hex(4, 4)
+        broken = LatticeGraph(lattice.n_sites, lattice.edges[1:],
+                              lattice.site_info, "periodic_hex", (4, 4))
+        with pytest.raises(CoverError, match="periodic cover construction failed"):
+            w_tile(broken, cover_periodic_hex(broken), hubbard_params)
