@@ -17,7 +17,7 @@ from .gatecount import (StepCost, step_cost_fragment, step_cost_periodic_extende
 from .qubitization import (WalkCosts, element_ledger, lambda_hubbard,
                            prepare_cost, reflection_cost, select_cost,
                            walk_costs, walk_qubits)
-from .qpe import QpeEstimate, crossover_sweep, qubitized_qpe, trotter_qpe
+from .qpe import QpeEstimate, estimate_rows, qubitized_qpe, trotter_qpe
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

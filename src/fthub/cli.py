@@ -30,7 +30,7 @@ from .lattice import (build_hex_fragment, build_periodic_hex,
                       build_square_fragment, check_lattice_memory,
                       lattice_to_json)
 from .oracle import run_suite
-from .qpe import crossover_sweep, hubbard_step, rows_to_csv
+from .qpe import estimate_rows, hubbard_step, rows_to_csv
 from .qubitization import check_rotation_costs
 from .tiling import (check_cover, check_cover_dims, cover_from_json,
                      cover_hex_fragment, cover_periodic_hex, cover_to_json)
@@ -110,10 +110,11 @@ def cmd_table2(args) -> int:
     rows = []
     u, v, tau = (refdata.TABLE_PARAMS[k] for k in ("u", "v", "tau"))
     for model in ("hubbard", "extended_hubbard"):
-        w_by_n = _w_by_n(model, refdata.TABLE_L, u, v, tau)
+        params = ModelParams(model, tau=tau, u=u, v=v)
         for idx, l in enumerate(refdata.TABLE_L):
             n = 2 * l * l
-            w = w_by_n[n]
+            lattice = build_periodic_hex(l, l)
+            w = w_tile(lattice, cover_periodic_hex(lattice), params).w_tile
             ref = refdata.W_TILE[model][idx]
             rows.append({"model": model, "quantity": "w_tile", "alpha": "-",
                          "N": n, "computed": f"{w:.4f}",
@@ -137,21 +138,14 @@ def cmd_table2(args) -> int:
     return 0 if worst <= 1 else 1
 
 
-def _w_by_n(model: str, l_values, u: float, v: float, tau: float) -> dict:
-    out = {}
-    params = ModelParams(model, tau=tau, u=u,
-                         v=v if model == "extended_hubbard" else 0.0)
-    for l in l_values:
-        lattice = build_periodic_hex(l, l)
-        cover = cover_periodic_hex(lattice)
-        out[2 * l * l] = w_tile(lattice, cover, params).w_tile
-    return out
+def _model_params(args) -> ModelParams:
+    return ModelParams(args.model, tau=args.tau, u=args.U, v=args.V)
 
 
 def cmd_qpe(args) -> int:
     # checked here too, so that a sweep with no lattice size checks them;
-    # tau first, since the fixed eps below is eps * tau
-    ModelParams(args.model, tau=args.tau)
+    # the model parameters first, since the fixed eps below is eps * tau
+    params = _model_params(args)
     w_so2_of(args.model)
     alpha_rules = tuple(args.alpha.split(","))
     for rule in alpha_rules:
@@ -160,18 +154,16 @@ def cmd_qpe(args) -> int:
     qpe.check_eps(fixed_eps)
     check_rotation_costs(args.theta, args.gamma)
     check_lattice_memory(2 * max(args.L, 0) ** 2)
-    l_values = tuple(range(4, args.L + 1, 2))
-    w_by_n = _w_by_n(args.model, l_values, args.U, args.V, args.tau)
-    rows = []
-    for rule_name, eps_rule in (("fixed", lambda n: fixed_eps),
-                                ("extensive", lambda n: 0.005 * n)):
-        swept = crossover_sweep(w_by_n, eps_rule, l_values, model=args.model,
-                                alpha_rules=alpha_rules, tau=args.tau, u=args.U,
-                                theta=args.theta, gamma=args.gamma)
-        for row in swept:
-            row["eps_rule"] = rule_name
-            rows.append(row)
-    _write(args.out, rows_to_csv(rows, qpe.CSV_COLUMNS + ["eps_rule"]))
+    eps_rules = {"fixed": lambda n: fixed_eps, "extensive": lambda n: 0.005 * n}
+    rows = {name: [] for name in eps_rules}
+    for l in range(4, args.L + 1, 2):
+        lattice = build_periodic_hex(l, l)
+        for name, swept in estimate_rows(
+                lattice, cover_periodic_hex(lattice), params, eps_rules,
+                alpha_rules, args.theta, args.gamma).items():
+            rows[name] += swept
+    # every fixed row, then every extensive row
+    _write(args.out, rows_to_csv(sum(rows.values(), [])))
     return 0
 
 
@@ -182,8 +174,7 @@ def cmd_bounds(args) -> int:
         raise ValueError("bounds has no error-norm bound on --lattice "
                          "square_fragment")
     cover = _build_cover(lattice, args.cover)
-    params = ModelParams(args.model, tau=args.tau, u=args.U, v=args.V)
-    breakdown = w_tile(lattice, cover, params)
+    breakdown = w_tile(lattice, cover, _model_params(args))
     _write(args.out, breakdown.to_json() + "\n")
     return 0
 

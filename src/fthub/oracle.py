@@ -109,10 +109,6 @@ def transfer_term(n_qubits: int, p: int, q: int, coeff: complex) -> PauliSum:
     return coeff * (_ladder(n_qubits, p, True) @ _ladder(n_qubits, q, False))
 
 
-def number_op(n_qubits: int, p: int) -> PauliSum:
-    return PauliSum(n_qubits, {(0, 0): 0.5, (0, 1 << p): -0.5})
-
-
 def jw_hopping(lattice: LatticeGraph, tau: float,
                edges=None, spins=(0, 1)) -> PauliSum:
     n_qubits = 2 * lattice.n_sites

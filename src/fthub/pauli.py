@@ -5,8 +5,8 @@ A string is stored as (xmask, zmask) -> coefficient, representing
 Pauli word fits this form with a complex coefficient.  Products, sums and
 commutators stay in this representation.  For numerics a sum is compiled on
 demand into one diagonal per X mask, ``op = sum_x X^x diag(d_x)`` with
-``d_x[i] = sum_z c_{x,z} (-1)^popcount(i & z)``; matvecs, dense matrices and
-the oracle's sector blocks are read off these groups.
+``d_x[i] = sum_z c_{x,z} (-1)^popcount(i & z)``; dense matrices and the
+oracle's sector blocks are read off these groups.
 """
 
 from __future__ import annotations
@@ -40,24 +40,6 @@ class PauliSum:
     @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {(0, 0): coeff})
-
-    @classmethod
-    def from_word(cls, n_qubits: int, word: dict, coeff: complex = 1.0) -> "PauliSum":
-        """word maps qubit -> 'X' | 'Y' | 'Z'."""
-        x = z = 0
-        phase = 1.0 + 0j
-        for q, p in word.items():
-            if p == "X":
-                x |= 1 << q
-            elif p == "Z":
-                z |= 1 << q
-            elif p == "Y":
-                x |= 1 << q
-                z |= 1 << q
-                phase *= 1j
-            else:
-                raise ValueError(f"bad Pauli letter {p!r}")
-        return cls(n_qubits, {(x, z): coeff * phase})
 
     def copy(self) -> "PauliSum":
         return PauliSum(self.n_qubits, dict(self.terms))
@@ -112,15 +94,8 @@ class PauliSum:
         return out
 
     # -- queries -----------------------------------------------------------------
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def is_zero(self, tol: float = 1e-12) -> bool:
         return all(abs(c) <= tol for c in self.terms.values())
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return (self - self.dagger()).is_zero(tol)
 
     # -- numeric form ----------------------------------------------------------------
     def compile(self) -> dict:
@@ -132,15 +107,6 @@ class PauliSum:
             col = c * (1.0 - 2.0 * _PARITY16[idx & z])
             groups[x] = groups[x] + col if x in groups else col
         return groups
-
-    def matvec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """out += op |vec> (a fresh complex vector when ``out`` is None)."""
-        if out is None:
-            out = np.zeros(vec.shape, dtype=np.complex128)
-        idx = np.arange(vec.shape[0])
-        for x, d in self.compile().items():
-            out[idx ^ x] += d * vec
-        return out
 
     def to_dense(self) -> np.ndarray:
         dim = 1 << self.n_qubits

@@ -24,6 +24,10 @@ scalar one in its last bit).  The bracket around it is read from the list of
 grid floats and refined with scalar ``math``, so x is that of a scan that
 evaluates the grid point by point.  An eps with 6.203 sqrt(W) / eps^1.5 < 1, at
 which fewer than one phase-estimation step would do at any x, is rejected.
+
+``estimate_rows`` builds every row ``fthub qpe`` prints, one lattice at a
+time: W, the step of each alpha rule and the walk are priced once and
+shared by every eps rule.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import numpy as np
 from .gatecount import (StepCost, step_cost_periodic_extended,
                         step_cost_periodic_hubbard, step_cost_ppp)
 from .qubitization import WalkCosts, walk_costs
+from .trotterbounds import w_tile
 
 PE_STEP_CONSTANT = 6.203
 RUS_LOG_COEFF = 1.15
@@ -210,36 +215,34 @@ def hubbard_step(n: int, model: str, alpha_rule: str) -> StepCost:
     return _PERIODIC_STEP[model](n, m)
 
 
-def crossover_sweep(w_by_n: dict, eps_rule, l_values,
-                    model: str = "hubbard",
-                    alpha_rules=tuple(ALPHA_RULES),
-                    tau: float = 1.0, u: float = 4.0,
-                    theta: int = 10, gamma: int = 40) -> list:
-    """Tabulate QPE estimates over lattice sizes.
-
-    ``w_by_n`` maps N to the step error norm; ``eps_rule`` maps N to the
-    target accuracy (e.g. ``lambda n: 0.005 * n``).  Returns a list of row
-    dicts in the fixed CSV column order: per N one Trotter row for each
-    alpha rule, then the qubitized row.
-    """
-    rows = []
-    for l in l_values:
-        n = 2 * l * l
+def estimate_rows(lattice, cover, params, eps_rules: dict, alpha_rules,
+                  theta: int, gamma: int) -> dict:
+    """The ``fthub qpe`` rows of an L x L periodic_hex ``lattice`` with its
+    ``cover`` and ``ModelParams``: per name of ``eps_rules`` (name -> eps as
+    a function of N), a Trotter row per alpha rule, then the qubitized row.
+    Any other lattice has no qubitized walk and raises ``ValueError``."""
+    if lattice.kind != "periodic_hex" or lattice.dims[0] != lattice.dims[1]:
+        raise ValueError("qpe rows need an L x L periodic_hex lattice, not "
+                         f"a {lattice.kind} of dims {lattice.dims}")
+    l, n = lattice.dims[0], lattice.n_sites
+    w = w_tile(lattice, cover, params).w_tile
+    steps = [(rule, hubbard_step(n, params.model, rule)) for rule in alpha_rules]
+    walk = walk_costs(l, params.tau, params.u, theta, gamma)
+    out = {}
+    for name, eps_rule in eps_rules.items():
         eps = eps_rule(n)
-        for rule in alpha_rules:
-            step = hubbard_step(n, model, rule)
-            est = trotter_qpe(step, w_by_n[n], eps)
-            rows.append(_row(est, n, l, rule))
-        est = qubitized_qpe(walk_costs(l, tau, u, theta, gamma), eps)
-        rows.append(_row(est, n, l, "-"))
-    return rows
+        rows = [_row(trotter_qpe(step, w, eps), n, l, rule, name)
+                for rule, step in steps]
+        rows.append(_row(qubitized_qpe(walk, eps), n, l, "-", name))
+        out[name] = rows
+    return out
 
 
 CSV_COLUMNS = ["method", "N", "L", "eps", "x", "alpha", "total_t", "total_rot",
-               "n_qubits", "n_pe_or_nw", "w_or_lambda"]
+               "n_qubits", "n_pe_or_nw", "w_or_lambda", "eps_rule"]
 
 
-def _row(est: QpeEstimate, n: int, l: int, alpha_rule: str) -> dict:
+def _row(est: QpeEstimate, n: int, l: int, alpha_rule: str, eps_rule: str) -> dict:
     inter = est.intermediates
     if est.method == "trotter":
         progress, weight = inter["n_pe"], inter["w"]
@@ -254,6 +257,7 @@ def _row(est: QpeEstimate, n: int, l: int, alpha_rule: str) -> dict:
         "n_qubits": est.n_qubits,
         "n_pe_or_nw": f"{progress:.6g}",
         "w_or_lambda": f"{weight:.6g}",
+        "eps_rule": eps_rule,
     }
 
 

@@ -17,7 +17,6 @@ is likewise surfaced in the ledger; headline numbers use the closed form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -136,9 +135,6 @@ class WalkCosts:
     def per_walk_t(self) -> int:
         """T per controlled walk: SELECT + PREPARE + PREPARE-dagger + reflection."""
         return self.c_select + 2 * self.c_prepare + self.c_reflect
-
-    def ledger_json(self) -> str:
-        return json.dumps(self.element_ledger, indent=1, sort_keys=True)
 
 
 def check_rotation_costs(theta: int, gamma: int):

@@ -44,9 +44,6 @@ class TileTemplate:
     n_sites: int
     n_edges: int
 
-    def nonzero_eigenvalues(self):
-        return tuple(v for v in self.eigenvalues if abs(v) > 1e-12)
-
 
 def _template(kind, adj, eigvals, eigvecs, chain):
     adj = np.array(adj, dtype=float)

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from fthub import oracle, trotterbounds
+from fthub import oracle, qpe, trotterbounds
 from fthub.lattice import (LatticeGraph, SiteInfo, _edge_tuple, build_hex_fragment,
                            build_periodic_hex, check_periodic_dims, hex_site_index,
                            ring_lattice, single_hexagon)
 from fthub.tiling import (_CATALOG, CoverError, CoverReport, Section, SectionCover, Tile,
                           check_cover_dims, cover_hex_fragment, cover_periodic_hex)
+from fthub.pauli import PauliSum
+from fthub.qubitization import walk_costs
 from fthub.trotterbounds import ModelParams
 
 # dense N x N references: the package builds no N x N coupling matrix on its
@@ -47,6 +49,36 @@ def section_adjacency(cover, s):
     return mat
 
 
+# Pauli-sum helpers that only the tests use
+
+
+def pauli_word(n_qubits, word, coeff=1.0):
+    """coeff times the Pauli word ``word`` (qubit -> 'X' | 'Y' | 'Z')."""
+    x = z = 0
+    phase = 1.0 + 0j
+    for q, p in word.items():
+        if p == "X":
+            x |= 1 << q
+        elif p == "Z":
+            z |= 1 << q
+        elif p == "Y":
+            x |= 1 << q
+            z |= 1 << q
+            phase *= 1j
+        else:
+            raise ValueError(f"bad Pauli letter {p!r}")
+    return PauliSum(n_qubits, {(x, z): coeff * phase})
+
+
+def is_hermitian(op, tol=1e-12):
+    return (op - op.dagger()).is_zero(tol)
+
+
+def number_op(n_qubits, p):
+    """The occupation number a+_p a_p = (1 - Z_p) / 2."""
+    return PauliSum(n_qubits, {(0, 0): 0.5, (0, 1 << p): -0.5})
+
+
 def exact_spectral_norm(op):
     """Largest |eigenvalue| of a Hermitian Pauli sum: the generic reference
     of the oracle's sector-block norms.
@@ -58,7 +90,7 @@ def exact_spectral_norm(op):
     """
     if op.is_zero():
         return 0.0
-    if not op.is_hermitian():
+    if not is_hermitian(op):
         raise ValueError("operator must be Hermitian")
     groups = op.compile()
     labels = oracle._spin_labels(op.n_qubits)
@@ -224,6 +256,26 @@ def json_cover_to_json(cover):
                                    for tile in sec.tiles]}
                         for sec in cover.sections]}
     return json.dumps(doc, indent=1, sort_keys=True)
+
+
+# loop reference of ``qpe.estimate_rows``: the N-keyed sweep it replaced,
+# which took the error norms by N and ran once per eps rule
+
+
+def loop_crossover_sweep(w_by_n, rule_name, eps_rule, l_values,
+                         model="hubbard", alpha_rules=tuple(qpe.ALPHA_RULES),
+                         tau=1.0, u=4.0, theta=10, gamma=40):
+    rows = []
+    for l in l_values:
+        n = 2 * l * l
+        eps = eps_rule(n)
+        for rule in alpha_rules:
+            step = qpe.hubbard_step(n, model, rule)
+            est = qpe.trotter_qpe(step, w_by_n[n], eps)
+            rows.append(qpe._row(est, n, l, rule, rule_name))
+        est = qpe.qubitized_qpe(walk_costs(l, tau, u, theta, gamma), eps)
+        rows.append(qpe._row(est, n, l, "-", rule_name))
+    return rows
 
 
 def clear_geometry_memos():

@@ -317,6 +317,13 @@ class TestSmallCommands:
          "no error-norm bound is implemented for the ppp model"),
         (["qpe", "--L", "4", "--model", "ppp"],
          "no error-norm bound is implemented for the ppp model"),
+        # the on-site model reads no V, but qpe checks it as bounds does
+        *[(["qpe", "--model", "hubbard", "--L", l, "--V", v], message)
+          for l in ("2", "8")
+          for v, message in (("-1", "interaction strengths must be "
+                                    "nonnegative"),
+                             ("nan", "model parameters must be finite"),
+                             ("inf", "model parameters must be finite"))],
     ])
     def test_bad_qpe_and_gates_input_exit_2(self, capsys, argv, message):
         assert run_cli(argv) == 2

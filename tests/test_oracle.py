@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import exact_spectral_norm
+from conftest import exact_spectral_norm, number_op, pauli_word
 from fthub.freefermion import schatten1
 from fthub import oracle
 from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
@@ -16,7 +16,7 @@ from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
 from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
                           dense_expm_hermitian,
                           jw_hopping, jw_neighbor, jw_onsite,
-                          jw_tile_local, number_op, orbital, run_suite,
+                          jw_tile_local, orbital, run_suite,
                           slater_rotation,
                           transfer_term, verify_chemical_shifts,
                           verify_commutator_bounds, verify_commutator_rules,
@@ -85,7 +85,7 @@ class TestSpectralNorm:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            exact_spectral_norm(PauliSum.from_word(2, {0: "X"}, 1j))
+            exact_spectral_norm(pauli_word(2, {0: "X"}, 1j))
 
 
 class TestSectorBlocks:

@@ -5,11 +5,28 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import loop_crossover_sweep
 from fthub import qpe
 from fthub.gatecount import step_cost_periodic_hubbard
-from fthub.qpe import (CSV_COLUMNS, crossover_sweep, hubbard_step, optimize_x,
+from fthub.lattice import build_hex_fragment, build_periodic_hex
+from fthub.qpe import (CSV_COLUMNS, estimate_rows, hubbard_step, optimize_x,
                        qubitized_qpe, rows_to_csv, trotter_qpe)
 from fthub.qubitization import walk_costs
+from fthub.tiling import cover_hex_fragment, cover_periodic_hex
+from fthub.trotterbounds import ModelParams, w_tile
+
+# the two eps rules of ``fthub qpe`` at its default eps and tau
+QPE_EPS_RULES = {"fixed": lambda n: 0.05, "extensive": lambda n: 0.005 * n}
+
+
+def periodic_w_by_n(params, l_values):
+    """N -> w_tile of the L x L periodic lattice and its cover."""
+    out = {}
+    for l in l_values:
+        lattice = build_periodic_hex(l, l)
+        out[2 * l * l] = w_tile(lattice, cover_periodic_hex(lattice),
+                                params).w_tile
+    return out
 
 # largest eps with at least one phase-estimation step at W = 215
 EPS_LIMIT_215 = (6.203 * math.sqrt(215.0)) ** (2.0 / 3.0)
@@ -126,11 +143,10 @@ class TestOptimizeX:
         # the qpe sweep's inputs: both models at table2's couplings, every
         # lattice size and alpha rule of the default sweep, fixed and
         # extensive eps
-        from fthub.cli import _w_by_n
         cases = []
         for model in ("hubbard", "extended_hubbard"):
-            w_of = _w_by_n(model, range(4, 19, 2), 4.0, 2.0, 1.0)
-            for n, w in w_of.items():
+            params = ModelParams(model, tau=1.0, u=4.0, v=2.0)
+            for n, w in periodic_w_by_n(params, range(4, 19, 2)).items():
                 for rule in qpe.ALPHA_RULES:
                     step = hubbard_step(n, model, rule)
                     cases += [(step, w, eps) for eps in (0.02, 0.05, 0.005 * n)]
@@ -221,15 +237,8 @@ class TestQubitizedQpe:
 
 @pytest.fixture(scope="module")
 def w_by_n():
-    from fthub.lattice import build_periodic_hex
-    from fthub.tiling import cover_periodic_hex
-    from fthub.trotterbounds import ModelParams, w_tile
-    params = ModelParams("hubbard", tau=1.0, u=4.0)
-    out = {}
-    for l in range(4, 19, 2):
-        lat = build_periodic_hex(l, l)
-        out[2 * l * l] = w_tile(lat, cover_periodic_hex(lat), params).w_tile
-    return out
+    return periodic_w_by_n(ModelParams("hubbard", tau=1.0, u=4.0),
+                           range(4, 19, 2))
 
 
 class TestScaling:
@@ -268,32 +277,83 @@ class TestScaling:
 
 
 class TestSweep:
-    def test_rows_and_csv(self, hex44):
-        w_by_n = {32: 215.0}
-        rows = crossover_sweep(w_by_n, lambda n: 0.05, [4],
-                               alpha_rules=("0", "N/2-1"))
+    def test_rows_and_csv(self, hex44, cover44, hubbard_params):
+        by_rule = estimate_rows(hex44, cover44, hubbard_params,
+                                {"fixed": lambda n: 0.05}, ("0", "N/2-1"),
+                                10, 40)
+        rows = by_rule["fixed"]
         methods = [r["method"] for r in rows]
-        assert methods.count("trotter") == 2 and methods.count("qubitized") == 1
+        assert methods == ["trotter", "trotter", "qubitized"]
+        assert {r["eps_rule"] for r in rows} == {"fixed"}
         text = rows_to_csv(rows)
         header = text.splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
+        assert header.endswith(",eps_rule")
         assert len(text.splitlines()) == 4
 
-    def test_eps_rule_callable(self):
-        rows = crossover_sweep({32: 215.0}, lambda n: 0.005 * n, [4],
-                               alpha_rules=("N/2-1",))
-        trotter = [r for r in rows if r["method"] == "trotter"]
+    def test_eps_rule_callable(self, hex44, cover44, hubbard_params):
+        by_rule = estimate_rows(hex44, cover44, hubbard_params, QPE_EPS_RULES,
+                                ("N/2-1",), 10, 40)
+        assert list(by_rule) == ["fixed", "extensive"]
+        trotter = [r for r in by_rule["extensive"] if r["method"] == "trotter"]
         assert trotter[0]["eps"] == pytest.approx(0.16)
+        assert by_rule["fixed"][0]["eps"] == 0.05
 
-    def test_crossover_regime(self):
+    def test_crossover_regime(self, hubbard_params):
         # at eps = 0.26 and N >= 128 the Trotter-HWP budget beats qubitization
-        from fthub.lattice import build_periodic_hex
-        from fthub.tiling import cover_periodic_hex
-        from fthub.trotterbounds import ModelParams, w_tile
-        params = ModelParams("hubbard", tau=1.0, u=4.0)
         lat = build_periodic_hex(8, 8)
-        w = w_tile(lat, cover_periodic_hex(lat), params).w_tile
-        eps = 0.26
-        trot = trotter_qpe(hubbard_step(128, "hubbard", "N/2-1"), w, eps).total_t
-        qub = qubitized_qpe(walk_costs(8, 1.0, 4.0), eps).total_t
-        assert trot < qub
+        trot, qub = estimate_rows(lat, cover_periodic_hex(lat), hubbard_params,
+                                  {"fixed": lambda n: 0.26}, ("N/2-1",),
+                                  10, 40)["fixed"]
+        assert float(trot["total_t"]) < float(qub["total_t"])
+
+
+class TestEstimateRows:
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    def test_matches_the_loop_sweep(self, model):
+        # the N-keyed sweep, run once per eps rule, gives the same rows
+        params = ModelParams(model, tau=1.0, u=4.0, v=2.0)
+        l_values = range(4, 19, 2)
+        w_by_n = periodic_w_by_n(params, l_values)
+        for name, eps_rule in QPE_EPS_RULES.items():
+            want = loop_crossover_sweep(w_by_n, name, eps_rule, l_values,
+                                        model=model)
+            got = []
+            for l in l_values:
+                lattice = build_periodic_hex(l, l)
+                got += estimate_rows(lattice, cover_periodic_hex(lattice),
+                                     params, QPE_EPS_RULES,
+                                     tuple(qpe.ALPHA_RULES), 10, 40)[name]
+            assert got == want
+
+    @pytest.mark.parametrize("n_eps_rules", [1, 2, 5])
+    def test_prices_each_input_once(self, monkeypatch, hex66, cover66,
+                                    extended_params, n_eps_rules):
+        calls = {"w_tile": 0, "hubbard_step": 0, "walk_costs": 0}
+
+        def counted(name):
+            real = getattr(qpe, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(qpe, name, counted(name))
+        eps_rules = {f"rule{k}": (lambda n, k=k: 0.01 * (k + 1))
+                     for k in range(n_eps_rules)}
+        by_rule = estimate_rows(hex66, cover66, extended_params, eps_rules,
+                                ("0", "N/4-1", "N-1"), 10, 40)
+        assert calls == {"w_tile": 1, "hubbard_step": 3, "walk_costs": 1}
+        assert [len(rows) for rows in by_rule.values()] == [4] * n_eps_rules
+
+    @pytest.mark.parametrize("lattice", [
+        build_hex_fragment([(0, 0), (1, 0)]), build_periodic_hex(4, 6)],
+        ids=["fragment", "4x6 torus"])
+    def test_other_lattices_raise(self, lattice, hubbard_params):
+        cover = (cover_periodic_hex(lattice) if lattice.kind == "periodic_hex"
+                 else cover_hex_fragment(lattice))
+        with pytest.raises(ValueError, match="L x L periodic_hex"):
+            estimate_rows(lattice, cover, hubbard_params, QPE_EPS_RULES,
+                          ("0",), 10, 40)

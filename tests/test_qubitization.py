@@ -146,9 +146,6 @@ class TestWalkCosts:
         wc = walk_costs(4, tau=1.0, u=4.0)
         assert wc.per_walk_t == 636 + 228 + 228 + 141 == 1233
 
-    def test_ledger_json(self):
-        assert '"controlled_select"' in walk_costs(4).ledger_json()
-
     @pytest.mark.parametrize("theta,gamma,name", [
         (0, 40, "theta"), (-3, 40, "theta"), (10, 0, "gamma"), (10, -1, "gamma")])
     def test_rejects_nonpositive_rotation_costs(self, theta, gamma, name):

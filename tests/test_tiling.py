@@ -28,9 +28,8 @@ class TestCatalog:
         ("S4", (-2.0, 2.0)),
     ])
     def test_nonzero_eigenvalues(self, kind, nonzero):
-        tmpl = tile_catalog(kind)
-        assert sorted(tmpl.nonzero_eigenvalues()) == pytest.approx(nonzero)
-        assert len(tmpl.nonzero_eigenvalues()) == 2
+        got = [v for v in tile_catalog(kind).eigenvalues if v != 0]
+        assert sorted(got) == pytest.approx(nonzero)
 
     @pytest.mark.parametrize("kind,zeros", [("S1", 0), ("S2", 1), ("C4", 2), ("S4", 3)])
     def test_zero_eigenvalue_count(self, kind, zeros):
