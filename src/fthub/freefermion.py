@@ -90,10 +90,9 @@ def _cells(lattice: LatticeGraph) -> tuple:
     other lattice is a single cell holding every site."""
     n = lattice.n_sites
     index = np.arange(n)
-    if lattice.kind == "periodic_hex" and lattice.dims is not None:
+    if lattice.kind == "periodic_hex":
         l_x, l_y = lattice.dims
-        if n == 2 * l_x * l_y:
-            return index // 2 % l_x, index // 2 // l_x, index % 2, (l_x, l_y), 2
+        return index // 2 % l_x, index // 2 // l_x, index % 2, (l_x, l_y), 2
     zero = np.zeros(n, dtype=np.int64)
     return zero, zero, index, (1, 1), n
 

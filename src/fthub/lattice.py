@@ -53,12 +53,18 @@ class LatticeGraph:
     ``edge_codes`` directly; either is checked on entry and only the codes
     are kept.  The ``edges`` tuple is derived from the codes on first read,
     and so is ``site_info`` of a lattice built without it (a
-    ``periodic_hex`` lattice, whose sites follow from ``dims``).  A
-    ``build_periodic_hex`` lattice builds its edge codes on first read, and
-    the geometry memo finds its key by dims, so a memo hit reads no array."""
+    ``periodic_hex`` lattice, whose ``dims`` (l_x, l_y) must give
+    2 * l_x * l_y sites).  Its geometry-memo ``key`` is (kind, dims,
+    n_sites, edge code bytes); a ``build_periodic_hex`` lattice, a pure
+    function of its dims, is keyed by them and builds its codes on first
+    read, so a memo hit reads no array."""
 
     def __init__(self, n_sites: int, edges=None, site_info=None,
                  kind: str = "custom", dims=None, *, edge_codes=None):
+        if kind == "periodic_hex" and (len(dims or ()) != 2
+                                       or 2 * dims[0] * dims[1] != n_sites):
+            raise LatticeError(f"periodic_hex needs dims (l_x, l_y) with "
+                               f"2 * l_x * l_y = {n_sites}, not {dims!r}")
         self.n_sites, self.kind, self.dims = n_sites, kind, dims
         if site_info is not None:
             self.site_info = site_info
@@ -69,6 +75,10 @@ class LatticeGraph:
     def __repr__(self):
         return (f"LatticeGraph(n_sites={self.n_sites}, n_edges={self.n_edges}, "
                 f"kind={self.kind!r}, dims={self.dims!r})")
+
+    @functools.cached_property
+    def key(self) -> tuple:
+        return self.kind, self.dims, self.n_sites, self.edge_codes.tobytes()
 
     @functools.cached_property
     def edges(self) -> tuple:
@@ -280,6 +290,7 @@ class _PeriodicHex(LatticeGraph):
 
     def __init__(self, l_x: int, l_y: int):
         self.n_sites, self.kind, self.dims = 2 * l_x * l_y, "periodic_hex", (l_x, l_y)
+        self.key = "build_periodic_hex", self.dims
 
     @functools.cached_property
     def edge_codes(self) -> np.ndarray:
@@ -475,14 +486,34 @@ def _json_list(items: list, depth: int) -> str:
 
 
 def lattice_from_json(text: str) -> LatticeGraph:
-    """Lattice from its JSON document.  Reversed and repeated edge pairs are
-    accepted and canonicalised; a self-loop, or an index that is not an
-    integer in the site range, raises :class:`LatticeError`."""
+    """Lattice from its JSON document; reversed and repeated edge pairs are
+    accepted and canonicalised.  LatticeError names the first field of the
+    wrong type or value: an edge or dims that is no pair of integers, a site
+    index out of range or repeated, a self-loop."""
     doc = json.loads(text)
-    sites = doc["sites"]
-    n = len(sites)
-    edges = _edge_tuple(doc["edges"])
-    info = tuple(SiteInfo(s["i"], s["l_x"], s["l_y"], s["c"], s["role"])
-                 for s in sorted(sites, key=lambda s: s["i"]))
-    dims = tuple(doc["dims"]) if doc.get("dims") else None
-    return LatticeGraph(n, edges, info, doc["kind"], dims)
+    sites = _doc_field(doc, "sites", list, "lattice document: ")
+    info: list = [None] * len(sites)
+    for k, site in enumerate(sites):
+        at = f"lattice document: sites[{k}]."
+        i, l_x, l_y, c = (_doc_field(site, f, int, at) for f in "i l_x l_y c".split())
+        if not 0 <= i < len(sites) or info[i] is not None:
+            raise LatticeError(f"{at}i must be below {len(sites)} and unique")
+        info[i] = SiteInfo(i, l_x, l_y, c, _doc_field(site, "role", str, at))
+    edges, dims = _doc_field(doc, "edges", list, "lattice document: "), doc.get("dims")
+    for name, pair in [*((f"edges[{k}]", e) for k, e in enumerate(edges)),
+                       ("dims", dims or [0, 0])]:
+        if not (type(pair) is list and len(pair) == 2
+                and all(type(v) is int for v in pair)):
+            raise LatticeError(f"lattice document: {name} must be a pair of integers")
+    return LatticeGraph(len(sites), _edge_tuple(edges), tuple(info),
+                        _doc_field(doc, "kind", str, "lattice document: "),
+                        tuple(dims) if dims else None)
+
+
+def _doc_field(obj, key, kind, where: str, error=LatticeError):
+    """``obj[key]`` of a JSON document, of type ``kind``; ``error`` names
+    the field, ``where`` + ``key``, when the value is of another type."""
+    if type(obj.get(key) if isinstance(obj, dict) else None) is not kind:
+        name = {list: "a list", str: "a string", int: "an integer"}[kind]
+        raise error(f"{where}{key} must be {name}")
+    return obj[key]

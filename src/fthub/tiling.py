@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .lattice import LatticeGraph, _json_list, hex_site_index
+from .lattice import LatticeGraph, _doc_field, _json_list, hex_site_index
 
 SQRT2 = np.sqrt(2.0)
 
@@ -222,6 +222,10 @@ class SectionCover:
     def n_sections(self) -> int:
         return len(self.sections)
 
+    @functools.cached_property
+    def key(self) -> tuple:
+        return self.lattice.key, tuple(sec.key for sec in self.sections)
+
 
 # ---------------------------------------------------------------------------
 # periodic hexagonal cover
@@ -239,8 +243,9 @@ def cover_periodic_hex(lattice: LatticeGraph) -> SectionCover:
 
     Each section holds N/4 tiles.  Requires even L_x and L_y; odd dimensions
     break the parity rules and raise :class:`CoverError`.  The sections are
-    built, and checked with ``check_cover``, when first read; the geometry
-    memo finds the cover's key by dims, so a memo hit builds no section.
+    built, and checked with ``check_cover``, on first read, which a memo
+    hit never makes: they follow from the lattice, whose key is the cover's
+    memo ``key``.  A failed check raises inside the memoized call.
     """
     if lattice.kind != "periodic_hex":
         raise CoverError("cover_periodic_hex needs a periodic_hex lattice")
@@ -255,6 +260,7 @@ class _PeriodicCover(SectionCover):
 
     def __init__(self, lattice: LatticeGraph):
         object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "key", ("cover_periodic_hex", lattice.key))
 
     @functools.cached_property
     def sections(self) -> tuple:
@@ -460,24 +466,16 @@ def cover_from_json(text: str, lattice: LatticeGraph) -> SectionCover:
     first field of the wrong shape, and a sites list that holds anything but
     64-bit integers; what the tiles hold (kind names, site indices) is left
     to ``validate_cover``."""
-    doc = json.loads(text)
-
-    def field_of(obj, key, kind, where):
-        if not isinstance(obj, dict) or not isinstance(obj.get(key), kind):
-            raise CoverError(f"cover document: {where}{key} must be a "
-                             f"{'list' if kind is list else 'string'}")
-        return obj[key]
-
+    doc, field = json.loads(text), functools.partial(_doc_field, error=CoverError)
     sections = []
-    for s, sec in enumerate(field_of(doc, "sections", list, "")):
-        where = f"sections[{s}]."
+    for s, sec in enumerate(field(doc, "sections", list, "cover document: ")):
+        where = f"cover document: sections[{s}]."
         tiles = []
-        for k, t in enumerate(field_of(sec, "tiles", list, where)):
+        for k, t in enumerate(field(sec, "tiles", list, where)):
             at = f"{where}tiles[{k}]."
-            kind, sites = field_of(t, "kind", str, at), field_of(t, "sites", list, at)
+            kind, sites = field(t, "kind", str, at), field(t, "sites", list, at)
             if not all(map(_is_site, sites)):
-                raise CoverError(f"cover document: {at}sites must be a list of "
-                                 f"integers")
+                raise CoverError(f"{at}sites must be a list of integers")
             tiles.append(Tile(kind, tuple(sites)))
-        sections.append(Section(field_of(sec, "color", str, where), tiles))
+        sections.append(Section(field(sec, "color", str, where), tiles))
     return SectionCover(lattice, tuple(sections))

@@ -31,17 +31,15 @@ The hopping norms depend on the geometry alone, not on (U, V, tau), and are
 memoized per process: (T12, T24) of a cover, |R|_1 of a lattice, and the
 raw star values (k, |S_k|_1, |i[S_k, R]|_1 and the maxima over the
 (k-1)-edge stars).  Each sits in a private ``functools.lru_cache`` of
-``_GEOMETRY_MEMO_SIZE`` entries, keyed by the content the norm reads: the
-lattice's (kind, dims, n_sites) and the bytes of its edge codes and, for a
-cover, also each section's ``key`` (colour, tile kinds and site bytes) in
-section order.  Lattices and covers built separately with equal content
-share an entry, whichever constructor built them.  A ``build_periodic_hex``
-lattice and its ``cover_periodic_hex`` cover build their arrays when first
-read; ``_key_by_dims`` finds their key by dims, so a memo hit builds no
-array (``w_so2_extended`` takes k from the star values).  The memo holds
-floats only; the tau scaling is applied after the lookup with the
-expressions of the unmemoized code, so every output is bit-identical to a
-cold evaluation.
+``_GEOMETRY_MEMO_SIZE`` entries, keyed by the lattice's or cover's own
+``key``.  A ``build_periodic_hex`` lattice and its ``cover_periodic_hex``
+cover are keyed by dims, of which their content is a pure function; they
+build their arrays when first read, so a memo hit builds no array
+(``w_so2_extended`` takes k from the star values).  Any other lattice or
+cover is keyed by its content, so equal content from different
+constructors gets separate entries holding equal floats.  Only floats are
+stored; the tau scaling follows the lookup with the expressions of the
+unmemoized code, so every output is bit-identical to a cold evaluation.
 
 On 3-regular lattices the neighbor-interaction bound is pinned to the
 tabulated constant 3*V*tau^2*N*(16 + 2*sqrt(3)) that the reference
@@ -62,8 +60,8 @@ import numpy as np
 
 from .freefermion import (_commutator_ah, _commutator_hh, schatten1,
                           translation_blocks)
-from .lattice import LatticeGraph, _PeriodicHex, regular_degree
-from .tiling import SectionCover, _PeriodicCover
+from .lattice import LatticeGraph, regular_degree
+from .tiling import SectionCover
 
 SQRT2 = np.sqrt(2.0)
 SQRT3 = np.sqrt(3.0)
@@ -121,9 +119,9 @@ _GEOMETRY_MEMO_SIZE = 32
 
 class _Geometry:
     """A lattice or cover as the argument of a memoized norm: hashed and
-    compared by ``key``, the content the norm reads, never by identity.  The
-    norm reads ``obj`` on a miss only, and ``_memoized`` drops it after the
-    call, so the memo keeps no lattice or cover alive."""
+    compared by ``key``, the one the object gives itself, never by
+    identity.  The norm reads ``obj`` on a miss only, and ``_memoized``
+    drops it after the call, so the memo keeps no lattice or cover alive."""
 
     __slots__ = ("key", "obj", "_hash")
 
@@ -137,38 +135,9 @@ class _Geometry:
         return self.key == other.key
 
 
-def _lattice_key(lattice: LatticeGraph) -> tuple:
-    if isinstance(lattice, _PeriodicHex):
-        return _memoized(_key_by_dims, (_lattice_content, lattice.dims), lattice)
-    return _lattice_content(lattice)
-
-
-def _cover_key(cover: SectionCover) -> tuple:
-    if isinstance(cover, _PeriodicCover) and isinstance(cover.lattice, _PeriodicHex):
-        return _memoized(_key_by_dims, (_cover_content, cover.lattice.dims), cover)
-    return _cover_content(cover)
-
-
-def _lattice_content(lattice: LatticeGraph) -> tuple:
-    return (lattice.kind, lattice.dims, lattice.n_sites,
-            lattice.edge_codes.tobytes())
-
-
-def _cover_content(cover: SectionCover) -> tuple:
-    return (_lattice_key(cover.lattice), tuple(sec.key for sec in cover.sections))
-
-
-# a lattice and a cover per dims
-@functools.lru_cache(maxsize=2 * _GEOMETRY_MEMO_SIZE)
-def _key_by_dims(geometry: _Geometry) -> tuple:
-    """The content key of a builder lattice or cover, taken from it on a miss."""
-    content, _ = geometry.key
-    return content(geometry.obj)
-
-
-def _memoized(memo, key, obj):
-    """``memo`` of ``obj``, looked up by ``key``."""
-    geometry = _Geometry(key, obj)
+def _memoized(memo, obj):
+    """``memo`` of the lattice or cover ``obj``, looked up by ``obj.key``."""
+    geometry = _Geometry(obj.key, obj)
     try:
         return memo(geometry)
     finally:
@@ -181,7 +150,7 @@ def _memoized(memo, key, obj):
 
 def _adjacency_schatten1(lattice: LatticeGraph) -> float:
     """|R|_1 of the lattice adjacency, summed over its translation blocks."""
-    return _memoized(_adjacency_norm, _lattice_key(lattice), lattice)
+    return _memoized(_adjacency_norm, lattice)
 
 
 @functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
@@ -226,8 +195,7 @@ def _star_norms(lattice: LatticeGraph, tau: float) -> dict:
     site (the lattice must be regular, making the values site independent):
     tau |S|_1 / 2 and tau^2 |i[S, R]|_1 / 2, the (k-1)-star values maximised
     over the dropped bond."""
-    k, s_k, c_k, s_km1, c_km1 = _memoized(_star_values, _lattice_key(lattice),
-                                          lattice)
+    k, s_k, c_k, s_km1, c_km1 = _memoized(_star_values, lattice)
     # rounding is monotone for tau > 0, so scaling the maxima equals the
     # maxima of the scaled values
     return {"k": k, "norm_k": tau * s_k / 2.0, "comm_k": c_k * tau / 2.0 * tau,
@@ -333,7 +301,7 @@ def w_h(cover: SectionCover, tau: float) -> float:
     and every T12 term of its pair: a three-section cover costs 3 + 8 block
     products.
     """
-    t12, t24 = _memoized(_section_sums, _cover_key(cover), cover)
+    t12, t24 = _memoized(_section_sums, cover)
     return tau**3 * (t12 / 12.0 + t24 / 24.0)
 
 

@@ -45,6 +45,19 @@ class TestPeriodicHex:
         with pytest.raises(LatticeError):
             build_periodic_hex(lx, ly)
 
+    @pytest.mark.parametrize("dims", [None, (2, 3), (4,), (2, 2, 1)],
+                             ids=["none", "wrong_size", "one", "three"])
+    def test_dims_must_give_the_sites(self, dims):
+        # such dims once reached symmetry_generators (dims None) and the
+        # oracle's sector maps (site indices past the last site)
+        lat = build_periodic_hex(2, 2)
+        with pytest.raises(LatticeError, match="periodic_hex needs dims"):
+            LatticeGraph(8, lat.edges, lat.site_info, "periodic_hex", dims)
+        doc = json.loads(lattice_to_json(lat))
+        doc["dims"] = dims and list(dims)
+        with pytest.raises(LatticeError, match="dims"):
+            lattice_from_json(json.dumps(doc))
+
     def test_site_indexing_convention(self, hex44):
         for s in hex44.site_info:
             assert s.index == 2 * (s.l_x + s.l_y * 4) + s.color
@@ -117,6 +130,14 @@ class TestHelpers:
         assert regular_degree(parallelogram) is None
 
 
+_SYMMETRIC = {
+    **{f"torus{x}x{y}": build_periodic_hex(x, y)
+       for x, y in ((2, 2), (2, 4), (4, 4), (6, 6))},
+    **{f"ring{n}": ring_lattice(n) for n in range(3, 9)},
+    "hexagon": single_hexagon(),
+}
+
+
 class TestSymmetryGenerators:
     """Each generator is a permutation of the sites that maps the edge set
     onto itself."""
@@ -142,6 +163,23 @@ class TestSymmetryGenerators:
             while not np.array_equal(power, np.arange(n)):
                 power, k = gen[power], k + 1
             assert k == order
+
+    @pytest.mark.parametrize("json_round_trip", [False, True],
+                             ids=["built", "json"])
+    @pytest.mark.parametrize("name", list(_SYMMETRIC))
+    def test_generators_are_edge_automorphisms(self, name, json_round_trip):
+        lattice = _SYMMETRIC[name]
+        if json_round_trip:
+            lattice = lattice_from_json(lattice_to_json(lattice))
+        n = lattice.n_sites
+        head, tail = lattice.edge_ends()
+        gens = symmetry_generators(lattice)
+        assert len(gens) == (2 if lattice.kind == "periodic_hex" else 1)
+        for gen in gens:
+            assert np.array_equal(np.sort(gen), np.arange(n))
+            a, b = gen[head], gen[tail]
+            codes = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+            assert np.array_equal(codes, lattice.edge_codes)
 
     def test_torus_translations_shift_cells(self):
         lattice = build_periodic_hex(4, 2)
@@ -189,6 +227,44 @@ class TestJson:
     def test_bad_edge_rejected(self, edges):
         with pytest.raises(LatticeError, match="edge"):
             lattice_from_json(self._ring4_doc(edges))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("edges"), "edges must be a list"),
+        (lambda d: d.pop("sites"), "sites must be a list"),
+        (lambda d: d.pop("kind"), "kind must be a string"),
+        (lambda d: d["edges"].__setitem__(0, [0, 1, 2]),
+         r"edges\[0\] must be a pair of integers"),
+        (lambda d: d["edges"].__setitem__(2, [0, "1"]),
+         r"edges\[2\] must be a pair of integers"),
+        (lambda d: d["edges"].__setitem__(1, 7),
+         r"edges\[1\] must be a pair of integers"),
+        (lambda d: d["sites"][3].__setitem__("i", 99),
+         r"sites\[3\]\.i must be below 8 and unique"),
+        (lambda d: d["sites"][3].__setitem__("i", 2),
+         r"sites\[3\]\.i must be below 8 and unique"),
+        (lambda d: d["sites"][0].__setitem__("i", -1),
+         r"sites\[0\]\.i must be below 8 and unique"),
+        (lambda d: d["sites"][2].__setitem__("l_x", 1.0),
+         r"sites\[2\]\.l_x must be an integer"),
+        (lambda d: d["sites"][2].__setitem__("c", True),
+         r"sites\[2\]\.c must be an integer"),
+        (lambda d: d["sites"][5].pop("role"), r"sites\[5\]\.role must be a string"),
+        (lambda d: d["sites"].__setitem__(1, [1]), r"sites\[1\]\.i must be an integer"),
+        (lambda d: d.__setitem__("dims", [2]), "dims must be a pair of integers"),
+        (lambda d: d.__setitem__("dims", [2, "2"]), "dims must be a pair of integers"),
+    ], ids=["no_edges", "no_sites", "no_kind", "edge_of_three", "edge_of_string",
+            "edge_not_a_list", "site_past_the_end", "site_repeated",
+            "site_negative", "float_field", "bool_field", "no_role",
+            "site_not_an_object", "dims_of_one", "dims_of_string"])
+    def test_malformed_document_names_the_field(self, edit, message):
+        doc = json.loads(lattice_to_json(build_periodic_hex(2, 2)))
+        edit(doc)
+        with pytest.raises(LatticeError, match="^lattice document: " + message):
+            lattice_from_json(json.dumps(doc))
+
+    def test_document_that_is_no_object(self):
+        with pytest.raises(LatticeError, match="sites must be a list"):
+            lattice_from_json("[]")
 
     def test_reversed_and_repeated_edges_canonicalised(self):
         text = self._ring4_doc([[1, 0], [0, 1], [3, 2], [1, 2], [0, 3], [2, 1]])

@@ -9,7 +9,8 @@ from conftest import (clear_geometry_memos, loop_build_periodic_hex,
                       loop_cover_periodic_hex, section_adjacency, star_matrix)
 from fthub import cli, freefermion, oracle, tiling, trotterbounds
 from fthub.freefermion import schatten1, translation_blocks, translation_periods
-from fthub.lattice import LatticeGraph, SiteInfo, build_periodic_hex, hex_site_index
+from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
+                           hex_site_index, lattice_from_json, lattice_to_json)
 from fthub.tiling import (CoverError, Section, SectionCover, Tile, cover_from_json,
                           cover_hex_fragment, cover_periodic_hex, cover_to_json,
                           validate_cover)
@@ -453,15 +454,42 @@ class TestGeometryMemo:
         info = trotterbounds._section_sums.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
 
-    def test_json_round_trip_shares_an_entry(self, hex44, cover44,
-                                             extended_params):
+    @staticmethod
+    def _assert_entries(memos, misses, hits):
+        for memo in memos:
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (misses, hits, misses)
+
+    def test_json_round_trip_is_its_own_entry(self, hex44, cover44,
+                                              extended_params):
+        # the builder's cover is keyed by dims, a cover read back by its
+        # content: two entries with equal values
         back = cover_from_json(cover_to_json(cover44), hex44)
         assert back.sections == cover44.sections
         values = [w_tile(hex44, cover, extended_params)
                   for cover in (cover44, back)]
         assert values[0].components == values[1].components
-        info = trotterbounds._section_sums.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (values[0].w_so2, values[0].w_h) == (values[1].w_so2, values[1].w_h)
+        self._assert_entries([trotterbounds._section_sums], 2, 0)
+
+    def test_json_reads_of_one_document_share_an_entry(self, hex44, cover44,
+                                                        extended_params):
+        text = cover_to_json(cover44)
+        first, second = cover_from_json(text, hex44), cover_from_json(text, hex44)
+        assert first is not second
+        values = [w_tile(hex44, cover, extended_params)
+                  for cover in (first, second)]
+        assert values[0].components == values[1].components
+        self._assert_entries([trotterbounds._section_sums], 1, 1)
+
+    def test_builder_cover_on_a_json_lattice(self, hex44, extended_params):
+        back = lattice_from_json(lattice_to_json(hex44))
+        assert back.key == (hex44.kind, hex44.dims, hex44.n_sites,
+                            hex44.edge_codes.tobytes())
+        values = [w_tile(lattice, cover_periodic_hex(lattice), extended_params)
+                  for lattice in (hex44, back)]
+        assert values[0].components == values[1].components
+        self._assert_entries(MEMOS, 2, 0)
 
     def test_equal_lattices_share_an_entry(self, extended_params):
         first, second = build_periodic_hex(6, 6), build_periodic_hex(6, 6)
@@ -474,18 +502,26 @@ class TestGeometryMemo:
             assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize("l", [8, 10])
-    def test_loop_built_lattice_shares_an_entry(self, cold_geometry_memo, l,
-                                                extended_params):
-        # the array builders key the memo exactly as the loop builders do
+    def test_loop_built_lattice_is_its_own_entry(self, l, extended_params):
+        # the loop builders give the array builders' content, keyed by
+        # content rather than by dims: two entries with equal values
         lattice = build_periodic_hex(l, l)
         reference = loop_build_periodic_hex(l, l)
         values = [w_tile(lattice, cover_periodic_hex(lattice), extended_params),
                   w_tile(reference, loop_cover_periodic_hex(reference),
                          extended_params)]
         assert values[0].components == values[1].components
-        for memo in MEMOS:
-            info = memo.cache_info()
-            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert (values[0].w_so2, values[0].w_h) == (values[1].w_so2, values[1].w_h)
+        self._assert_entries(MEMOS, 2, 0)
+
+    def test_keys(self, hexagon):
+        lattice = build_periodic_hex(4, 6)
+        assert lattice.key == ("build_periodic_hex", (4, 6))
+        assert cover_periodic_hex(lattice).key == ("cover_periodic_hex", lattice.key)
+        assert "edge_codes" not in vars(lattice)
+        cover = cover_hex_fragment(hexagon)
+        assert hexagon.key == ("hex_fragment", None, 6, hexagon.edge_codes.tobytes())
+        assert cover.key == (hexagon.key, tuple(sec.key for sec in cover.sections))
 
     def test_mutated_components_do_not_leak(self, hex44, cover44,
                                             extended_params):
