@@ -10,7 +10,7 @@ identities on small instances.  The nested commutators of the
 Coulomb/hopping bounds are taken on blocks of the hopping operator and the
 Coulomb diagonals, with no Pauli product.
 
-Every lattice check gets its compiled operators and blocks from one path,
+Every lattice check gets the bases of its blocks from one path,
 ``_spin_sectors``: ``_sector_sets`` groups the states by (N_up, N_down),
 enforces the block cap before any block is built and drops the mirror
 sectors of each symmetry orbit.  Spin flip (qubits 2i and 2i + 1 swapped,
@@ -20,10 +20,11 @@ generators (``lattice.symmetry_generators``: a cycle's rotation, a torus's
 cell translations) act on basis states as signed permutations |m> -> eps(m)
 |pi(m)>; the site permutations are lifted with their Jordan-Wigner sign
 (``_lift``).  A map is used only if ``_commutes`` accepts it on every
-compiled operator and every Coulomb diagonal is exactly equal under it; no
-block is built to check a map.  The hexagon's Trotter step keeps only the
-shift by 2 of its cycle 0-1-2-5-4-3, since its two sections are alternate
-edges; the commutator checks keep every rotation.
+compiled operator of the geometry's family (a lattice's hopping operator,
+and a cover's sections) and every Coulomb diagonal is exactly equal under
+it; no block is built to check a map.  The hexagon's Trotter step keeps
+only the shift by 2 of its cycle 0-1-2-5-4-3, since its two sections are
+alternate edges; the commutator checks keep every rotation.
 
 Each kept sector is solved as one block per character of its stabiliser
 (``_adapted_bases``, after Sandvik, arXiv:1101.3281), the abelian group
@@ -39,10 +40,20 @@ blocks unchanged, and one set of blocks serves a lattice's whole (U, V)
 grid.  On the 12-qubit hexagon the Trotter step solves 44 blocks (largest
 100 states, summed n^3 3.0e6) and the commutator checks 86 (largest 50);
 ``run_suite("full")`` builds 466 blocks in 6 ``_spin_sectors`` calls.
+
+The analysis depends on the geometry alone and is memoized per process,
+as the ``trotterbounds`` norms are: ``_commuting_maps`` (which maps commute
+with the family at tau = 1, after the leak check) by the lattice's or
+cover's ``key``, and ``_sector_bases`` (the read-only bases) by that key
+and the numbers of the maps a call's diagonals keep.  An entry holds bases
+only, linear in the Hilbert-space size; every block is built per call from
+the caller's own tau-scaled operators, so each output is bit-identical to
+a cold run.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -53,8 +64,9 @@ from .freefermion import _commutator_ah, schatten1  # noqa: F401
 from .lattice import LatticeGraph, regular_degree, symmetry_generators
 from .pauli import _PARITY16, PauliSum
 from .tiling import SectionCover, chain_rotation, tile_catalog
-from .trotterbounds import (ModelParams, TrotterErrorBreakdown,
-                            _adjacency_schatten1, w_so2_extended)
+from .trotterbounds import (_GEOMETRY_MEMO_SIZE, ModelParams,
+                            TrotterErrorBreakdown, _adjacency_schatten1,
+                            _memoized, w_so2_extended, w_so2_of)
 
 MAX_QUBITS = 16
 # largest block the exact layer diagonalizes: the half-filled sector of a
@@ -408,6 +420,18 @@ def _adapted_bases(members: np.ndarray, stab: list, halve: bool):
     return bases
 
 
+def _scatter(index: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """Zeros of ``length`` with each of ``values`` added at its ``index`` in
+    turn, as ``np.add.at`` adds them: one ``bincount`` per real component,
+    which sums in the same order."""
+    if np.isrealobj(values):
+        return np.bincount(index, values, length)
+    out = np.empty(length, dtype=values.dtype)
+    out.real = np.bincount(index, values.real, length)
+    out.imag = np.bincount(index, values.imag, length)
+    return out
+
+
 def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
     """Dense Q^H (sum_x X^x diag(d_x)) Q on the orthonormal columns Q of
     ``basis`` (``_plain`` or ``_adapted_bases``) in a ``dim``-state space,
@@ -420,8 +444,7 @@ def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
     states, coefs = states.ravel(), coefs.ravel()
     row = np.full(dim, -1)
     row[states] = cols
-    q = np.zeros(dim, dtype=coefs.dtype)
-    np.add.at(q, states, coefs)
+    q = _scatter(states, coefs, dim)
     # one row per X mask
     image = states ^ np.fromiter(groups, dtype=states.dtype,
                                  count=len(groups))[:, None]
@@ -429,39 +452,66 @@ def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
     keep = rows >= 0
     vals = q[image].conj() * coefs * np.array(
         [d[states] for d in groups.values()]).reshape(image.shape)
-    block = np.zeros((size, size), dtype=vals.dtype)
-    # a state may fill several slots of one column: add.at sums them
-    np.add.at(block, (rows[keep], np.broadcast_to(cols, rows.shape)[keep]),
-              vals[keep])
+    # a state may fill several slots of one column: the scatter sums them
+    block = _scatter((rows * size + cols)[keep], vals[keep],
+                     size * size).reshape(size, size)
     if np.iscomplexobj(block) and not block.imag.any():
         return block.real
     return block
 
 
-def _spin_sectors(lattice: LatticeGraph, named_ops: list,
-                  diags: list) -> tuple:
-    """Compiled (name, op) ``named_ops`` and the bases of the blocks to
-    solve: the ``_adapted_bases`` of each ``_sector_sets`` sector under the
-    lattice's symmetry maps that commute with every operator and leave every
-    Z diagonal of ``diags`` unchanged, one of each conjugate pair when every
-    operator is real.  Where a sector's stabiliser does not generate an
-    abelian group, its maps that move other sectors (spin flip,
-    particle-hole) are tried without the rotations, and then none.
-    ValueError when an operator leaks out of the spin sectors."""
+def _lattice_of(owner) -> LatticeGraph:
+    """A lattice itself, or the lattice of a cover."""
+    return owner.lattice if isinstance(owner, SectionCover) else owner
+
+
+def _family(owner) -> list:
+    """The named unit-tau operators of ``owner``: the hopping operator of
+    its lattice and, for a cover, each section's."""
+    lattice = _lattice_of(owner)
+    named = [("hopping Hamiltonian", jw_hopping(lattice, 1.0))]
+    if isinstance(owner, SectionCover):
+        named += [(f"section {s}", jw_section(lattice, owner, s, 1.0))
+                  for s in range(owner.n_sections)]
+    return named
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
+def _commuting_maps(geometry) -> tuple:
+    """(numbers, real) of a lattice's or cover's ``_family``: the numbers of
+    the ``_symmetry_maps`` that commute with every operator, ascending, and
+    whether every operator is real.  ValueError when an operator leaks out
+    of the spin sectors."""
+    lattice = _lattice_of(geometry.obj)
     labels = _spin_labels(2 * lattice.n_sites)
     groups = []
-    for name, op in named_ops:
+    for name, op in _family(geometry.obj):
         compiled = op.compile()
         leak = _leak(compiled, labels)
         if leak > LEAK_RTOL:
             raise ValueError(f"{name} is not block diagonal over spin sectors "
                              f"(leak {leak:.2e})")
         groups.append(compiled)
-    maps = [(perm, sign) for perm, sign in _symmetry_maps(lattice)
-            if all(_commutes(g, perm, sign) for g in groups)
-            and all(np.array_equal(d[perm], d) for d in diags)]
-    moves = [not np.array_equal(labels[perm], labels) for perm, _ in maps]
+    numbers = tuple(k for k, m in enumerate(_symmetry_maps(lattice))
+                    if all(_commutes(g, *m) for g in groups))
     real = all(np.isrealobj(d) for g in groups for d in g.values())
+    return numbers, real
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
+def _sector_bases(geometry, kept: tuple) -> tuple:
+    """The read-only ``_adapted_bases`` of each ``_sector_sets`` sector under
+    the ``_symmetry_maps`` numbered ``kept``, one of each conjugate pair
+    when every ``_family`` operator is real.  Where a sector's stabiliser
+    does not generate an abelian group, its maps that move other sectors
+    (spin flip, particle-hole) are tried without the rotations, and then
+    none."""
+    lattice = _lattice_of(geometry.obj)
+    _, real = _commuting_maps(geometry)
+    every = _symmetry_maps(lattice)
+    maps = [every[k] for k in kept]
+    labels = _spin_labels(2 * lattice.n_sites)
+    moves = [not np.array_equal(labels[perm], labels) for perm, _ in maps]
     bases = []
     for members in _sector_sets(labels, maps):
         label = labels[members[0]]
@@ -473,8 +523,35 @@ def _spin_sectors(lattice: LatticeGraph, named_ops: list,
                 break
         else:
             found = [_plain(members)]
-        bases += found
-    return groups, bases
+        # own copies, so the entry keeps no larger array alive (a real
+        # basis can be a view of complex coefficients)
+        for states, coefs in found:
+            states, coefs = np.array(states), np.array(coefs)
+            states.flags.writeable = coefs.flags.writeable = False
+            bases.append((states, coefs))
+    return tuple(bases)
+
+
+def _spin_sectors(owner, diags: list) -> tuple:
+    """The bases of the blocks to solve for the lattice or cover ``owner``:
+    its ``_sector_bases`` under the ``_commuting_maps`` that leave every Z
+    diagonal of ``diags`` unchanged.  Both are memoized by ``owner.key`` and
+    hold no block, so a caller builds its blocks from its own compiled
+    operators: its ``_family`` times any tau, plus Z diagonals of
+    ``diags``."""
+    kept, _ = _memoized(_commuting_maps, owner)
+    if diags:
+        kept = _leave_equal(_lattice_of(owner), kept, diags)
+    return _memoized(_sector_bases, owner, kept)
+
+
+def _leave_equal(lattice: LatticeGraph, numbers: tuple, diags: list) -> tuple:
+    """The ``numbers`` of the ``_symmetry_maps`` under which every diagonal
+    of ``diags`` is exactly equal.  The maps are freed on return, before a
+    ``_sector_bases`` miss builds them again."""
+    maps = _symmetry_maps(lattice)
+    return tuple(k for k in numbers
+                 if all(np.array_equal(d[maps[k][0]], d) for d in diags))
 
 
 def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
@@ -603,9 +680,8 @@ def verify_commutator_bounds(lattice: LatticeGraph, *params: ModelParams) -> lis
     bounds = [w_so2_extended(lattice, p).components for p in params]
     diags = [(_diag_of_z_sum(jw_onsite(lattice, p.u)),
               _diag_of_z_sum(jw_neighbor(lattice, p.v))) for p in params]
-    (hop,), bases = _spin_sectors(
-        lattice, [("hopping Hamiltonian", jw_hopping(lattice, params[0].tau))],
-        [d for pair in diags for d in pair])
+    hop = jw_hopping(lattice, params[0].tau).compile()
+    bases = _spin_sectors(lattice, [d for pair in diags for d in pair])
     peaks = np.zeros((len(params), 3))
     for basis in bases:
         h = _block(hop, basis, 1 << n_qubits)
@@ -671,17 +747,26 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     the largest per-block singular value over those invariant subspaces,
     one sector per symmetry orbit, as the character blocks of its
     stabiliser (``_spin_sectors``).  The two half steps of the last section
-    meet and are applied as one full step.
+    meet and are applied as one full step.  ValueError when ``cover`` is
+    not a cover of ``lattice`` (their lattice keys differ), and
+    BoundUnsupportedError, as ``w_tile`` raises it, for a model with no
+    bound.
     """
+    if cover.lattice.key != lattice.key:
+        raise ValueError("the cover is not a cover of this lattice")
+    # the same refusal as w_tile's, for a model with no Coulomb operator here
+    w_so2_of(params.model)
     n_qubits = 2 * lattice.n_sites
     coulomb = jw_onsite(lattice, params.u)
     if params.model == "extended_hubbard":
         coulomb = coulomb + jw_neighbor(lattice, params.v)
-    pieces = [("full Hamiltonian", jw_hopping(lattice, params.tau) + coulomb)]
-    pieces += [(f"section {s}", jw_section(lattice, cover, s, params.tau))
-               for s in range(cover.n_sections)]
     c_diag = _diag_of_z_sum(coulomb)
-    groups, bases = _spin_sectors(lattice, pieces, [c_diag])
+    groups = [(jw_hopping(lattice, params.tau) + coulomb).compile()]
+    groups += [jw_section(lattice, cover, s, params.tau).compile()
+               for s in range(cover.n_sections)]
+    # a map that commutes with the hopping operator and leaves c_diag equal
+    # commutes with H, whose leak is the hopping operator's
+    bases = _spin_sectors(cover, [c_diag])
 
     errs = [0.0] * len(t_list)
     for basis in bases:
@@ -790,8 +875,8 @@ def verify_commutator_rules(tau: float = 1.0) -> list:
 def verify_ff_norm(lattice: LatticeGraph, tau: float = 1.0) -> dict:
     """Exact many-body norm of the hopping Hamiltonian against tau * |R|_1:
     the largest block peak over its ``_spin_sectors`` bases."""
-    (hop,), bases = _spin_sectors(
-        lattice, [("hopping Hamiltonian", jw_hopping(lattice, tau))], [])
+    hop = jw_hopping(lattice, tau).compile()
+    bases = _spin_sectors(lattice, [])
     dim = 1 << 2 * lattice.n_sites
     exact = max(_peak(_block(hop, basis, dim)) for basis in bases)
     predicted = tau * _adjacency_schatten1(lattice)

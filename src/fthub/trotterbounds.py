@@ -135,11 +135,12 @@ class _Geometry:
         return self.key == other.key
 
 
-def _memoized(memo, obj):
-    """``memo`` of the lattice or cover ``obj``, looked up by ``obj.key``."""
+def _memoized(memo, obj, *args):
+    """``memo`` of the lattice or cover ``obj`` and the hashable ``args``,
+    looked up by ``obj.key`` and ``args``."""
     geometry = _Geometry(obj.key, obj)
     try:
-        return memo(geometry)
+        return memo(geometry, *args)
     finally:
         geometry.obj = None
 

@@ -278,19 +278,30 @@ def loop_crossover_sweep(w_by_n, rule_name, eps_rule, l_values,
     return rows
 
 
+def clear_oracle_memos():
+    """Empty the oracle's sector-analysis memos.  A test that patches an
+    oracle function the analysis calls (``_symmetry_maps``,
+    ``_adapted_bases``, ``jw_section``, ...) clears them before and after
+    the patched calls, so no entry crosses the patch."""
+    oracle._commuting_maps.cache_clear()
+    oracle._sector_bases.cache_clear()
+
+
 def clear_geometry_memos():
-    """Empty every memoized norm of ``trotterbounds``."""
+    """Empty every memoized norm of ``trotterbounds`` and the oracle's
+    sector-analysis memos."""
     for memo in vars(trotterbounds).values():
         if hasattr(memo, "cache_clear"):
             memo.cache_clear()
+    clear_oracle_memos()
 
 
 @pytest.fixture(autouse=True)
 def cold_geometry_memo():
-    """Every test starts with empty norm memos: a value memoized by an
+    """Every test starts with empty geometry memos: a value memoized by an
     earlier test, possibly on another evaluation path (one dense block
-    against Bloch blocks), would otherwise stand in for the path under
-    test."""
+    against Bloch blocks) or under a patched oracle function, would
+    otherwise stand in for the path under test."""
     clear_geometry_memos()
 
 

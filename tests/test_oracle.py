@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from types import SimpleNamespace
 
@@ -8,11 +10,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import exact_spectral_norm, number_op, pauli_word
+from conftest import (clear_oracle_memos, exact_spectral_norm, number_op,
+                      pauli_word)
 from fthub.freefermion import schatten1
 from fthub import oracle
 from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
-                           ring_lattice, symmetry_generators)
+                           ring_lattice, single_hexagon, symmetry_generators)
 from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
                           dense_expm_hermitian,
                           jw_hopping, jw_neighbor, jw_onsite,
@@ -23,7 +26,9 @@ from fthub.oracle import (MAX_BLOCK, SizeLimitError, core_block,
                           verify_ff_norm, verify_tile_evolution,
                           verify_trotter_step)
 from fthub.pauli import PauliSum
-from fthub.trotterbounds import ModelParams, w_tile
+from fthub.tiling import cover_hex_fragment
+from fthub.trotterbounds import (BoundUnsupportedError, ModelParams,
+                                 TrotterErrorBreakdown, w_tile)
 
 
 def two_site_chain():
@@ -321,7 +326,11 @@ class TestSectorSymmetries:
     def plain(monkeypatch, check, *args):
         with monkeypatch.context() as m:
             m.setattr(oracle, "_symmetry_maps", lambda lattice: [])
-            return check(*args)
+            clear_oracle_memos()
+            try:
+                return check(*args)
+            finally:
+                clear_oracle_memos()
 
     @staticmethod
     def count_calls(monkeypatch, name):
@@ -567,7 +576,10 @@ class TestParityBases:
         h = TestSectorSymmetries.sparse(op)
         maps = oracle._symmetry_maps(lattice)
         self.both_of_each_pair(monkeypatch)
-        (groups,), bases = oracle._spin_sectors(lattice, [("H", op)], [])
+        groups = op.compile()
+        bases = oracle._spin_sectors(lattice, [
+            oracle._diag_of_z_sum(jw_onsite(lattice, 4.0)),
+            oracle._diag_of_z_sum(jw_neighbor(lattice, 2.0))])
         by_sector = {}
         for basis in bases:
             by_sector.setdefault(int(labels[basis[0][0, 0]]), []).append(basis)
@@ -643,7 +655,7 @@ class TestParityBases:
         assert all(oracle._commutes(hop.compile(), *m)
                    for m in broken_maps(lattice))
         labels = oracle._spin_labels(8)
-        _, bases = oracle._spin_sectors(lattice, [("hopping", hop)], [])
+        bases = oracle._spin_sectors(lattice, [])
         refused = 1 * 9 + 1 if broken == "square" else 2 * 9 + 2
         whole = [b for b in bases if labels[b[0][0, 0]] == refused]
         assert len(whole) == 1
@@ -806,10 +818,13 @@ class TestMomentumBlocks:
         c_diag = oracle._diag_of_z_sum(coulomb)
         dim = 1 << 12
         t_list = (0.05, 0.1, 0.2)
-        _, halved = oracle._spin_sectors(hexagon, pieces, [c_diag])
+        groups = [op.compile() for _, op in pieces]
+        halved = oracle._spin_sectors(hexagon_cover, [c_diag])
         with monkeypatch.context() as m:
             TestParityBases.both_of_each_pair(m)
-            groups, bases = oracle._spin_sectors(hexagon, pieces, [c_diag])
+            clear_oracle_memos()
+            bases = oracle._spin_sectors(hexagon_cover, [c_diag])
+        clear_oracle_memos()
         # conj(chi) has the conjugate coefficients, to rounding
         pairs = [(a, b) for a in bases for b in bases
                  if np.iscomplexobj(a[1]) and a is not b
@@ -831,6 +846,7 @@ class TestMomentumBlocks:
         reduced = verify_trotter_step(*args)
         with monkeypatch.context() as m:
             TestParityBases.both_of_each_pair(m)
+            clear_oracle_memos()
             both = verify_trotter_step(*args)
         for got, want in zip(reduced, both):
             assert got["exact"] == pytest.approx(want["exact"], rel=1e-12)
@@ -849,11 +865,13 @@ class TestMomentumBlocks:
         with monkeypatch.context() as m:
             m.setattr(oracle, "_symmetry_maps",
                       lambda lattice: real(lattice)[:3])
+            clear_oracle_memos()
             calls = TestSectorSymmetries.count_calls(m, "eigvalsh")
             parity = verify_commutator_bounds(ring6, params)
             n_parity = len(calls)
         monkeypatch.setattr(oracle, "_symmetry_maps",
                             lambda lattice: real(lattice) + [reflection])
+        clear_oracle_memos()
         calls = TestSectorSymmetries.count_calls(monkeypatch, "eigvalsh")
         assert verify_commutator_bounds(ring6, params) == parity
         assert len(calls) == n_parity
@@ -892,8 +910,12 @@ class TestTransientMemory:
     SLACK = 400 ** 2 * 8 // 2
 
     @staticmethod
-    def peak(check, *args):
+    def peak(check, *args, cold=False):
+        """Peak of a second call; with ``cold``, the sector analysis is
+        redone in it, so its memo entry counts toward the peak."""
         check(*args)
+        if cold:
+            clear_oracle_memos()
         tracemalloc.start()
         try:
             check(*args)
@@ -920,6 +942,221 @@ class TestTransientMemory:
                          hubbard_params, (0.05, 0.1, 0.2),
                          bd) <= 2_359_692 + self.SLACK
 
+    def test_commutator_bounds_cold(self, hexagon):
+        # the bounds of the warm call, which before the sector memo redid
+        # the analysis on every call
+        params = ModelParams("extended_hubbard", tau=1.0, u=2.0, v=2.0)
+        assert self.peak(verify_commutator_bounds, hexagon, params,
+                         cold=True) <= 1_779_512 + self.SLACK
+
+    def test_trotter_step_cold(self, hexagon, hexagon_cover, hubbard_params):
+        bd = w_tile(hexagon, hexagon_cover, hubbard_params)
+        assert self.peak(verify_trotter_step, hexagon, hexagon_cover,
+                         hubbard_params, (0.05, 0.1, 0.2), bd,
+                         cold=True) <= 2_359_692 + self.SLACK
+
+
+class TestSectorMemo:
+    """The sector analysis of a lattice (its hopping operator) or a cover
+    (that and each section) is memoized by the owner's ``key`` and the
+    numbers of the kept maps; blocks are built on every call from the
+    caller's own tau-scaled operators."""
+
+    TAUS = (0.5, 0.7, 1.0)
+    POINTS = ((0.0, 0.0), (2.0, 1.0), (4.0, 3.0), (1.0, 4.0))
+    STEP_TIMES = (0.05, 0.1, 0.2)
+
+    @staticmethod
+    def step_args(lattice, cover, model, tau, u, v):
+        params = ModelParams(model, tau=tau, u=u, v=v)
+        # the exact step error does not read the bound: rings have no
+        # on-site bound, so a stand-in breakdown serves every lattice
+        bd = TrotterErrorBreakdown(w_so2=1.0, w_h=0.0)
+        return lattice, cover, params, TestSectorMemo.STEP_TIMES, bd
+
+    def calls(self, lattice, cover):
+        out = [(verify_ff_norm, (lattice, tau)) for tau in self.TAUS]
+        out += [(verify_commutator_bounds, (lattice, *[
+            ModelParams("extended_hubbard", tau=tau, u=u, v=v)
+            for u, v in self.POINTS])) for tau in self.TAUS]
+        out += [(verify_trotter_step,
+                 self.step_args(lattice, cover, model, tau, u, v))
+                for model in ("hubbard", "extended_hubbard")
+                for tau in self.TAUS for u, v in self.POINTS[1:3]]
+        return out
+
+    @pytest.mark.parametrize("name", ["ring4", "ring6", "hexagon"])
+    def test_warm_equals_cold(self, request, name):
+        lattice = request.getfixturevalue(name)
+        cover = cover_hex_fragment(lattice)
+        cold = []
+        for check, args in self.calls(lattice, cover):
+            clear_oracle_memos()
+            cold.append(check(*args))
+        clear_oracle_memos()
+        warm = [check(*args) for check, args in self.calls(lattice, cover)]
+        # repr tells every float bit apart, the sign of zero included
+        assert repr(warm) == repr(cold)
+        # one entry per family: the lattice's and the cover's
+        info = oracle._sector_bases.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        assert info.hits == len(warm) - 2
+
+    def test_ff_norm_and_commutators_share_an_entry(self, ring6):
+        verify_ff_norm(ring6, 0.5)
+        verify_commutator_bounds(ring6, ModelParams(
+            "extended_hubbard", tau=1.0, u=2.0, v=1.0))
+        info = oracle._sector_bases.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert oracle._commuting_maps.cache_info().currsize == 1
+
+    def test_broken_diagonal_gets_its_own_entry(self, hexagon, monkeypatch):
+        params = ModelParams("extended_hubbard", tau=0.7, u=2.0, v=1.0)
+        whole = verify_commutator_bounds(hexagon, params)
+        real = oracle.jw_neighbor
+        # a lone Z on qubit 0 leaves the diagonal unequal under every map
+        monkeypatch.setattr(oracle, "jw_neighbor", lambda lattice, v: real(
+            lattice, v) + PauliSum(2 * lattice.n_sites, {(0, 1): 0.3}))
+        broken = verify_commutator_bounds(hexagon, params)
+        info = oracle._sector_bases.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        clear_oracle_memos()
+        assert repr(verify_commutator_bounds(hexagon, params)) == repr(broken)
+        assert broken != whole
+        monkeypatch.undo()
+        assert repr(verify_commutator_bounds(hexagon, params)) == repr(whole)
+
+    def test_no_lattice_kept_alive(self):
+        lattice = ring_lattice(6)
+        cover = cover_hex_fragment(lattice)
+        verify_ff_norm(lattice)
+        verify_trotter_step(*self.step_args(lattice, cover, "hubbard", 1.0,
+                                            4.0, 0.0))
+        refs = weakref.ref(lattice), weakref.ref(cover)
+        del lattice, cover
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+        assert oracle._sector_bases.cache_info().currsize == 2
+        # equal geometry built anew finds the entries
+        verify_ff_norm(ring_lattice(6), 0.5)
+        assert oracle._sector_bases.cache_info().hits == 1
+
+    def test_entries_hold_bases_only(self, hexagon, hexagon_cover):
+        verify_ff_norm(hexagon)
+        verify_trotter_step(*self.step_args(hexagon, hexagon_cover,
+                                            "hubbard", 1.0, 4.0, 0.0))
+        for owner in (hexagon, hexagon_cover):
+            bases = oracle._spin_sectors(owner, [])
+            # one slot row per group element and one column per state:
+            # linear in the 4096 states, with no n x n block
+            for states, coefs in bases:
+                assert states.shape == coefs.shape
+                assert states.base is None and coefs.base is None
+                assert not states.flags.writeable
+            assert sum(s.size for s, _ in bases) < 4 * 4096
+
+    def test_ppp_step_is_refused(self, hexagon, hexagon_cover, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block was built")
+
+        monkeypatch.setattr(oracle, "_block", no_block)
+        with pytest.raises(BoundUnsupportedError, match="ppp"):
+            verify_trotter_step(*self.step_args(hexagon, hexagon_cover,
+                                                "ppp", 1.0, 4.0, 1.0))
+
+    @pytest.mark.parametrize("name", ["ring4", "ring6"])
+    def test_cover_of_another_lattice_is_refused(self, request, hexagon,
+                                                 hexagon_cover, name):
+        lattice = request.getfixturevalue(name)
+        with pytest.raises(ValueError, match="not a cover of this lattice"):
+            verify_trotter_step(*self.step_args(lattice, hexagon_cover,
+                                                "hubbard", 1.0, 4.0, 0.0))
+        # an equal lattice built anew is the same geometry
+        verify_trotter_step(*self.step_args(single_hexagon(), hexagon_cover,
+                                            "hubbard", 1.0, 4.0, 0.0))
+
+
+class TestBlockScatter:
+    """``_block`` against a loop that adds every entry in the scatter's
+    order, bit for bit, and against the dense Q^H H Q."""
+
+    @staticmethod
+    def loop_block(groups, basis, dim):
+        """The block with every term added by a Python loop in the
+        scatter's order: mask by mask, slots row-major.  The terms of one
+        mask are formed as arrays, as ``_block`` forms them (an array
+        product may round differently from a scalar one)."""
+        states, coefs = basis
+        size = states.shape[1]
+        states, coefs = states.ravel(), coefs.ravel()
+        col_of = {s: k % size for k, s in enumerate(states.tolist())}
+        q = np.zeros(dim, dtype=coefs.dtype)
+        for s, c in zip(states.tolist(), coefs):
+            q[s] += c
+        block = np.zeros((size, size), dtype=np.result_type(
+            coefs, *groups.values()))
+        for x, d in groups.items():
+            terms = q[states ^ x].conj() * coefs * d[states]
+            for s, term in zip(states.tolist(), terms):
+                if s ^ x in col_of:
+                    block[col_of[s ^ x], col_of[s]] += term
+        return block
+
+    def check(self, groups, basis, dim, op):
+        got = oracle._block(groups, basis, dim)
+        want = self.loop_block(groups, basis, dim)
+        if np.iscomplexobj(want) and not want.imag.any():
+            want = want.real
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        q = TestParityBases.dense(basis, dim)
+        assert np.abs(got - q.conj().T @ op.to_dense() @ q).max() < 1e-12
+
+    def test_plain_parity_and_momentum_bases(self, ring4):
+        op = (jw_hopping(ring4, 0.7) + jw_onsite(ring4, 3.0)
+              + jw_neighbor(ring4, 1.0))
+        groups = op.compile()
+        labels = oracle._spin_labels(8)
+        members = np.flatnonzero(labels == 2 * 9 + 2)
+        maps = oracle._symmetry_maps(ring4)
+        flip, hole, _, shift, _ = maps
+        kinds = {"plain": [oracle._plain(members)],
+                 "parity": oracle._adapted_bases(members, [flip, hole], True),
+                 "momentum": oracle._adapted_bases(members, [flip, hole,
+                                                             shift], True)}
+        assert not any(np.iscomplexobj(c) for _, c in kinds["parity"])
+        assert any(np.iscomplexobj(c) for _, c in kinds["momentum"])
+        # the parity and momentum bases carry several slots on one state
+        # in some column: a state fixed by a group element
+        for name in ("parity", "momentum"):
+            assert any(len(set(states[:, k])) < states.shape[0]
+                       for states, _ in kinds[name]
+                       for k in range(states.shape[1]))
+        for bases in kinds.values():
+            for basis in bases:
+                self.check(groups, basis, 256, op)
+
+    def test_repeated_slots_in_a_column(self):
+        # random coefficients on a 4-qubit space, columns with several slots
+        # on one state, and every block entry summed from many terms, so a
+        # scatter that added in another order would differ in the last bits
+        rng = np.random.default_rng(24)
+        op = PauliSum(4)
+        for x, z in rng.integers(16, size=(24, 2)):
+            op = op + PauliSum(4, {(int(x), int(z)):
+                                   complex(*rng.standard_normal(2))})
+        op = op + op.dagger()
+        states = np.array([[3, 6, 10], [3, 7, 12], [5, 7, 12], [9, 7, 15]])
+        coefs = rng.standard_normal(states.shape)
+        q = TestParityBases.dense((states, coefs), 16)
+        basis = (states, coefs / np.linalg.norm(q, axis=0))
+        self.check(op.compile(), basis, 16, op)
+        # and with complex coefficients
+        coefs = coefs + 1j * rng.standard_normal(states.shape)
+        q = TestParityBases.dense((states, coefs), 16)
+        self.check(op.compile(), (states, coefs / np.linalg.norm(q, axis=0)),
+                   16, op)
+
 
 class TestTrotterStep:
     def test_hexagon_inequality(self, hexagon, hexagon_cover, hubbard_params):
@@ -945,7 +1182,7 @@ class TestSuite:
 
     def test_full_suite_shape(self, monkeypatch):
         # every check of the full suite in order, with its pass flag; the
-        # sectors are built once per lattice and operator family
+        # sectors are analysed once per lattice and operator family
         expected = [("tile_evolution", f"{k} tau=1.0 t={t}")
                     for k in ("S1", "S2", "C4", "S4") for t in (0.1, 0.5, 1.0)]
         expected += [(f"rule{i}", "3 sites") for i in (
@@ -962,14 +1199,23 @@ class TestSuite:
         expected += [("trotter_step", f"t={t}") for t in (0.05, 0.1, 0.2)]
         real = oracle._spin_sectors
         calls = []
-        monkeypatch.setattr(oracle, "_spin_sectors", lambda *args:
-                            calls.append(args[0].kind) or real(*args))
+        monkeypatch.setattr(oracle, "_spin_sectors", lambda owner, diags:
+                            calls.append((type(owner).__name__,
+                                          oracle._lattice_of(owner).kind))
+                            or real(owner, diags))
         reports = run_suite("full")
         assert len(expected) == 105
         assert [(r["check"], r["instance"]) for r in reports] == expected
         assert [bool(r["pass"]) for r in reports] == [True] * 105
-        assert calls == ["ring", "hex_fragment", "ring", "ring",
-                         "hex_fragment", "hex_fragment"]
+        lattices = [("LatticeGraph", kind) for kind in (
+            "ring", "hex_fragment", "ring", "ring", "hex_fragment")]
+        assert calls == lattices + [("SectionCover", "hex_fragment")]
+        # the free-fermion norm analyses ring4 and the hexagon, and the
+        # commutator checks find those entries; ring6 and the hexagon's
+        # cover are analysed once each
+        info = oracle._sector_bases.cache_info()
+        assert (info.misses, info.hits) == (4, 2)
+        assert oracle._commuting_maps.cache_info().misses == 4
 
     def test_level_guard(self):
         with pytest.raises(ValueError):
