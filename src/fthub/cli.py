@@ -83,7 +83,10 @@ def _build_lattice(args):
     if getattr(args, unread) is not None:
         raise ValueError(f"--lattice {args.lattice} reads no --{unread}")
     if args.lattice == "hex_fragment":
-        return build_hex_fragment(json.loads(args.cells or "[[0,0]]"))
+        try:
+            return build_hex_fragment(json.loads(args.cells or "[[0,0]]"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--cells is not JSON: {exc}") from None
     l = 4 if args.L is None else args.L
     if args.lattice == "periodic_hex":
         return build_periodic_hex(l, l)

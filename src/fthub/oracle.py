@@ -10,8 +10,8 @@ identities on small instances.  The nested commutators of the
 Coulomb/hopping bounds are taken on blocks of the hopping operator and the
 Coulomb diagonals, with no Pauli product.
 
-Every lattice check gets the bases of its blocks from one path,
-``_spin_sectors``: ``_sector_sets`` groups the states by (N_up, N_down),
+Every lattice check gets the bases of its blocks from one memo,
+``_sector_bases``: ``_sector_sets`` groups the states by (N_up, N_down),
 enforces the block cap before any block is built and drops the mirror
 sectors of each symmetry orbit.  Spin flip (qubits 2i and 2i + 1 swapped,
 (a, b) -> (b, a)), particle-hole on a 2-colourable lattice (every qubit
@@ -21,10 +21,11 @@ cell translations) act on basis states as signed permutations |m> -> eps(m)
 |pi(m)>; the site permutations are lifted with their Jordan-Wigner sign
 (``_lift``).  A map is used only if ``_commutes`` accepts it on every
 compiled operator of the geometry's family (a lattice's hopping operator,
-and a cover's sections) and every Coulomb diagonal is exactly equal under
-it; no block is built to check a map.  The hexagon's Trotter step keeps
-only the shift by 2 of its cycle 0-1-2-5-4-3, since its two sections are
-alternate edges; the commutator checks keep every rotation.
+and a cover's sections) and the unit Coulomb diagonals (``_unit_diags``)
+are exactly equal under it, so every U D_on + V D_nb is; no block is built
+to check a map.  The hexagon's Trotter step keeps only the shift by 2 of
+its cycle 0-1-2-5-4-3, since its two sections are alternate edges; the
+commutator checks keep every rotation.
 
 Each kept sector is solved as one block per character of its stabiliser
 (``_adapted_bases``, after Sandvik, arXiv:1101.3281), the abelian group
@@ -39,16 +40,14 @@ Coulomb diagonals are constant on each orbit, so every check runs on the
 blocks unchanged, and one set of blocks serves a lattice's whole (U, V)
 grid.  On the 12-qubit hexagon the Trotter step solves 44 blocks (largest
 100 states, summed n^3 3.0e6) and the commutator checks 86 (largest 50);
-``run_suite("full")`` builds 466 blocks in 6 ``_spin_sectors`` calls.
+``run_suite("full")`` builds 466 blocks from 4 ``_sector_bases`` entries.
 
 The analysis depends on the geometry alone and is memoized per process,
-as the ``trotterbounds`` norms are: ``_commuting_maps`` (which maps commute
-with the family at tau = 1, after the leak check) by the lattice's or
-cover's ``key``, and ``_sector_bases`` (the read-only bases) by that key
-and the numbers of the maps a call's diagonals keep.  An entry holds bases
-only, linear in the Hilbert-space size; every block is built per call from
-the caller's own tau-scaled operators, so each output is bit-identical to
-a cold run.
+as the ``trotterbounds`` norms are: ``_sector_bases`` is keyed by the
+lattice's or cover's ``key`` and holds the read-only bases only, linear in
+the Hilbert-space size.  Every block is built per call from the caller's
+own tau-scaled operators and (U, V)-scaled diagonals, so each output is
+bit-identical to a cold run.
 """
 
 from __future__ import annotations
@@ -460,57 +459,37 @@ def _block(groups: dict, basis: tuple, dim: int) -> np.ndarray:
     return block
 
 
-def _lattice_of(owner) -> LatticeGraph:
-    """A lattice itself, or the lattice of a cover."""
-    return owner.lattice if isinstance(owner, SectionCover) else owner
-
-
-def _family(owner) -> list:
-    """The named unit-tau operators of ``owner``: the hopping operator of
-    its lattice and, for a cover, each section's."""
-    lattice = _lattice_of(owner)
-    named = [("hopping Hamiltonian", jw_hopping(lattice, 1.0))]
-    if isinstance(owner, SectionCover):
-        named += [(f"section {s}", jw_section(lattice, owner, s, 1.0))
-                  for s in range(owner.n_sections)]
-    return named
-
-
 @functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
-def _commuting_maps(geometry) -> tuple:
-    """(numbers, real) of a lattice's or cover's ``_family``: the numbers of
-    the ``_symmetry_maps`` that commute with every operator, ascending, and
-    whether every operator is real.  ValueError when an operator leaks out
-    of the spin sectors."""
-    lattice = _lattice_of(geometry.obj)
+def _sector_bases(geometry) -> tuple:
+    """The read-only ``_adapted_bases`` of each ``_sector_sets`` sector of a
+    lattice or cover under the ``_symmetry_maps`` that leave both
+    ``_unit_diags`` exactly equal and commute with its unit-tau family (the
+    hopping operator and a cover's sections), one of each conjugate pair
+    when the family is real.  A stabiliser that generates no abelian group
+    falls back to its maps that move other sectors, then to none.
+    ValueError when an operator leaks out of the spin sectors."""
+    owner = geometry.obj
+    lattice = owner.lattice if isinstance(owner, SectionCover) else owner
     labels = _spin_labels(2 * lattice.n_sites)
-    groups = []
-    for name, op in _family(geometry.obj):
-        compiled = op.compile()
-        leak = _leak(compiled, labels)
+    diags = _unit_diags(lattice)
+    maps = [(perm, sign) for perm, sign in _symmetry_maps(lattice)
+            if all(np.array_equal(d[perm], d) for d in diags)]
+    del diags
+    family = [("hopping Hamiltonian", jw_hopping(lattice, 1.0))]
+    if isinstance(owner, SectionCover):
+        family += [(f"section {s}", jw_section(lattice, owner, s, 1.0))
+                   for s in range(owner.n_sections)]
+    real = True
+    # one compiled operator is live at a time
+    for name, op in family:
+        groups = op.compile()
+        leak = _leak(groups, labels)
         if leak > LEAK_RTOL:
             raise ValueError(f"{name} is not block diagonal over spin sectors "
                              f"(leak {leak:.2e})")
-        groups.append(compiled)
-    numbers = tuple(k for k, m in enumerate(_symmetry_maps(lattice))
-                    if all(_commutes(g, *m) for g in groups))
-    real = all(np.isrealobj(d) for g in groups for d in g.values())
-    return numbers, real
-
-
-@functools.lru_cache(maxsize=_GEOMETRY_MEMO_SIZE)
-def _sector_bases(geometry, kept: tuple) -> tuple:
-    """The read-only ``_adapted_bases`` of each ``_sector_sets`` sector under
-    the ``_symmetry_maps`` numbered ``kept``, one of each conjugate pair
-    when every ``_family`` operator is real.  Where a sector's stabiliser
-    does not generate an abelian group, its maps that move other sectors
-    (spin flip, particle-hole) are tried without the rotations, and then
-    none."""
-    lattice = _lattice_of(geometry.obj)
-    _, real = _commuting_maps(geometry)
-    every = _symmetry_maps(lattice)
-    maps = [every[k] for k in kept]
-    labels = _spin_labels(2 * lattice.n_sites)
+        maps = [m for m in maps if _commutes(groups, *m)]
+        real = real and all(np.isrealobj(d) for d in groups.values())
+    del groups
     moves = [not np.array_equal(labels[perm], labels) for perm, _ in maps]
     bases = []
     for members in _sector_sets(labels, maps):
@@ -532,34 +511,26 @@ def _sector_bases(geometry, kept: tuple) -> tuple:
     return tuple(bases)
 
 
-def _spin_sectors(owner, diags: list) -> tuple:
-    """The bases of the blocks to solve for the lattice or cover ``owner``:
-    its ``_sector_bases`` under the ``_commuting_maps`` that leave every Z
-    diagonal of ``diags`` unchanged.  Both are memoized by ``owner.key`` and
-    hold no block, so a caller builds its blocks from its own compiled
-    operators: its ``_family`` times any tau, plus Z diagonals of
-    ``diags``."""
-    kept, _ = _memoized(_commuting_maps, owner)
-    if diags:
-        kept = _leave_equal(_lattice_of(owner), kept, diags)
-    return _memoized(_sector_bases, owner, kept)
-
-
-def _leave_equal(lattice: LatticeGraph, numbers: tuple, diags: list) -> tuple:
-    """The ``numbers`` of the ``_symmetry_maps`` under which every diagonal
-    of ``diags`` is exactly equal.  The maps are freed on return, before a
-    ``_sector_bases`` miss builds them again."""
-    maps = _symmetry_maps(lattice)
-    return tuple(k for k in numbers
-                 if all(np.array_equal(d[maps[k][0]], d) for d in diags))
-
-
 def _diag_of_z_sum(op: PauliSum) -> np.ndarray:
     """Diagonal of an operator whose strings are all Z-type."""
     groups = op.compile()
     if any(groups):
         raise ValueError("operator is not diagonal")
     return groups.get(0, np.zeros(1 << op.n_qubits)).real
+
+
+def _unit_diags(lattice: LatticeGraph) -> tuple:
+    """(D_on, D_nb), the diagonals of ``jw_onsite`` and ``jw_neighbor`` at
+    unit coupling."""
+    return (_diag_of_z_sum(jw_onsite(lattice, 1.0)),
+            _diag_of_z_sum(jw_neighbor(lattice, 1.0)))
+
+
+def _scaled(coupling: float, unit: np.ndarray) -> np.ndarray:
+    """``coupling`` times a ``_unit_diags`` diagonal: that of the Pauli sum
+    built at ``coupling``, bit for bit when it is dyadic.  Adding 0.0 gives
+    a zero the plus sign that a sum of no terms has."""
+    return coupling * unit + 0.0
 
 
 def _peak(block: np.ndarray) -> float:
@@ -669,26 +640,26 @@ def verify_commutator_bounds(lattice: LatticeGraph, *params: ModelParams) -> lis
     -(c_i - c_j)^2 h_ij, and [[D, H], H] for D = I, V as [X, h] with the
     anti-Hermitian X_ij = (d_i - d_j) h_ij, in one block product.  No Pauli
     product is formed.  One sector per symmetry orbit is solved, as the
-    character blocks of its stabiliser (``_spin_sectors``) under the maps
-    that leave every point's diagonals equal, so they are read at each
-    orbit's first state.  The points share tau: each h serves them all.
+    character blocks of its stabiliser (``_sector_bases``) under maps that
+    leave every point's diagonals U D_on and V D_nb equal, so they are read
+    at each orbit's first state.  The points share tau: each h serves them
+    all.
     """
     n_qubits = 2 * lattice.n_sites
     _require_qubits(n_qubits)
     if len({p.tau for p in params}) != 1:
         raise ValueError("the grid points must share one tau")
     bounds = [w_so2_extended(lattice, p).components for p in params]
-    diags = [(_diag_of_z_sum(jw_onsite(lattice, p.u)),
-              _diag_of_z_sum(jw_neighbor(lattice, p.v))) for p in params]
+    d_on, d_nb = _unit_diags(lattice)
     hop = jw_hopping(lattice, params[0].tau).compile()
-    bases = _spin_sectors(lattice, [d for pair in diags for d in pair])
     peaks = np.zeros((len(params), 3))
-    for basis in bases:
+    for basis in _memoized(_sector_bases, lattice):
         h = _block(hop, basis, 1 << n_qubits)
         reps = basis[0][0]
-        for peak, (d_i, d_v) in zip(peaks, diags):
-            gap_i = d_i[reps, None] - d_i[None, reps]
-            gap_v = d_v[reps, None] - d_v[None, reps]
+        for peak, p in zip(peaks, params):
+            d_i, d_v = _scaled(p.u, d_on[reps]), _scaled(p.v, d_nb[reps])
+            gap_i = d_i[:, None] - d_i[None, :]
+            gap_v = d_v[:, None] - d_v[None, :]
             # each nested commutator is solved before the next one is built
             np.maximum(peak, [_peak(-(gap_i + gap_v) ** 2 * h),
                               _peak(_commutator_ah(gap_i * h, h)),
@@ -698,9 +669,9 @@ def verify_commutator_bounds(lattice: LatticeGraph, *params: ModelParams) -> lis
         name = f"{lattice.kind}/N={lattice.n_sites} U={p.u} V={p.v}"
         for label, exact in zip(("comm_CHC", "comm_IHH", "comm_VHH"), peak):
             bound = bound_of[label + "_bound"]
+            ok = exact <= bound + 1e-9 * max(bound, 1.0)
             checks.append({"check": label, "instance": name, "exact": exact,
-                           "bound": bound,
-                           "pass": exact <= bound + 1e-9 * max(bound, 1.0)})
+                           "bound": bound, "pass": bool(ok)})
     return checks
 
 
@@ -746,7 +717,7 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     compiled operators), so the unitary difference is evaluated exactly as
     the largest per-block singular value over those invariant subspaces,
     one sector per symmetry orbit, as the character blocks of its
-    stabiliser (``_spin_sectors``).  The two half steps of the last section
+    stabiliser (``_sector_bases``).  The two half steps of the last section
     meet and are applied as one full step.  ValueError when ``cover`` is
     not a cover of ``lattice`` (their lattice keys differ), and
     BoundUnsupportedError, as ``w_tile`` raises it, for a model with no
@@ -757,19 +728,15 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
     # the same refusal as w_tile's, for a model with no Coulomb operator here
     w_so2_of(params.model)
     n_qubits = 2 * lattice.n_sites
-    coulomb = jw_onsite(lattice, params.u)
-    if params.model == "extended_hubbard":
-        coulomb = coulomb + jw_neighbor(lattice, params.v)
-    c_diag = _diag_of_z_sum(coulomb)
-    groups = [(jw_hopping(lattice, params.tau) + coulomb).compile()]
+    v = params.v if params.model == "extended_hubbard" else 0.0
+    c_diag = sum(map(_scaled, (params.u, v), _unit_diags(lattice)))
+    groups = [{**jw_hopping(lattice, params.tau).compile(), 0: c_diag}]
     groups += [jw_section(lattice, cover, s, params.tau).compile()
                for s in range(cover.n_sections)]
+    errs = [0.0] * len(t_list)
     # a map that commutes with the hopping operator and leaves c_diag equal
     # commutes with H, whose leak is the hopping operator's
-    bases = _spin_sectors(cover, [c_diag])
-
-    errs = [0.0] * len(t_list)
-    for basis in bases:
+    for basis in _memoized(_sector_bases, cover):
         errs = list(map(max, errs, _step_errors(groups, basis, 1 << n_qubits,
                                                 c_diag, t_list)))
 
@@ -780,7 +747,7 @@ def verify_trotter_step(lattice: LatticeGraph, cover: SectionCover,
         reports.append({"check": "trotter_step", "instance": f"t={t}",
                         "exact": err, "bound": bound,
                         "ratio_t3": err / t**3 if t else 0.0,
-                        "pass": err <= bound * (1 + 1e-9)})
+                        "pass": bool(err <= bound * (1 + 1e-9))})
     return reports
 
 
@@ -817,7 +784,7 @@ def verify_chemical_shifts(lattice: LatticeGraph, params: ModelParams,
     reports.append({"check": "chemical_shift_onsite",
                     "instance": f"N={n} eta={eta} U={params.u}",
                     "exact": float(dev), "bound": 1e-10,
-                    "shift": delta_i, "pass": dev <= 1e-10})
+                    "shift": delta_i, "pass": bool(dev <= 1e-10)})
 
     k = regular_degree(lattice)
     if k is not None and params.v > 0:
@@ -832,7 +799,7 @@ def verify_chemical_shifts(lattice: LatticeGraph, params: ModelParams,
                         "exact": float(dev), "bound": 1e-10,
                         "shift": delta_v,
                         "shift_quoted_form": params.v * k / 4.0 * (n - 4 * eta),
-                        "pass": dev <= 1e-10})
+                        "pass": bool(dev <= 1e-10)})
     return reports
 
 
@@ -874,11 +841,10 @@ def verify_commutator_rules(tau: float = 1.0) -> list:
 
 def verify_ff_norm(lattice: LatticeGraph, tau: float = 1.0) -> dict:
     """Exact many-body norm of the hopping Hamiltonian against tau * |R|_1:
-    the largest block peak over its ``_spin_sectors`` bases."""
-    hop = jw_hopping(lattice, tau).compile()
-    bases = _spin_sectors(lattice, [])
-    dim = 1 << 2 * lattice.n_sites
-    exact = max(_peak(_block(hop, basis, dim)) for basis in bases)
+    the largest block peak over its ``_sector_bases``."""
+    hop, dim = jw_hopping(lattice, tau).compile(), 1 << 2 * lattice.n_sites
+    exact = max(_peak(_block(hop, basis, dim))
+                for basis in _memoized(_sector_bases, lattice))
     predicted = tau * _adjacency_schatten1(lattice)
     return {"check": "ff_norm", "instance": f"{lattice.kind}/N={lattice.n_sites}",
             "exact": exact, "bound": predicted,

@@ -36,11 +36,6 @@ class PauliSum:
         self.n_qubits = n_qubits
         self.terms = {} if terms is None else terms
 
-    # -- construction helpers ------------------------------------------------
-    @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): coeff})
-
     def copy(self) -> "PauliSum":
         return PauliSum(self.n_qubits, dict(self.terms))
 
@@ -85,17 +80,6 @@ class PauliSum:
 
     def anticommutator(self, other: "PauliSum") -> "PauliSum":
         return (self @ other) + (other @ self)
-
-    def dagger(self) -> "PauliSum":
-        out = PauliSum(self.n_qubits)
-        for (x, z), c in self.terms.items():
-            sign = -1.0 if _parity(x & z) else 1.0
-            out._iadd_term((x, z), sign * np.conj(c))
-        return out
-
-    # -- queries -----------------------------------------------------------------
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
 
     # -- numeric form ----------------------------------------------------------------
     def compile(self) -> dict:

@@ -462,11 +462,15 @@ def cover_to_json(cover: SectionCover) -> str:
 
 
 def cover_from_json(text: str, lattice: LatticeGraph) -> SectionCover:
-    """The cover of a ``cover_to_json`` document.  CoverError names the
-    first field of the wrong shape, and a sites list that holds anything but
-    64-bit integers; what the tiles hold (kind names, site indices) is left
-    to ``validate_cover``."""
-    doc, field = json.loads(text), functools.partial(_doc_field, error=CoverError)
+    """The cover of a ``cover_to_json`` document.  CoverError when the text
+    is not JSON, and naming the first field of the wrong shape or a sites
+    list that holds anything but 64-bit integers; what the tiles hold (kind
+    names, site indices) is left to ``validate_cover``."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CoverError(f"cover document is not JSON: {exc}") from None
+    field = functools.partial(_doc_field, error=CoverError)
     sections = []
     for s, sec in enumerate(field(doc, "sections", list, "cover document: ")):
         where = f"cover document: sections[{s}]."

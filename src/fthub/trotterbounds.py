@@ -135,12 +135,11 @@ class _Geometry:
         return self.key == other.key
 
 
-def _memoized(memo, obj, *args):
-    """``memo`` of the lattice or cover ``obj`` and the hashable ``args``,
-    looked up by ``obj.key`` and ``args``."""
+def _memoized(memo, obj):
+    """``memo`` of the lattice or cover ``obj``, looked up by ``obj.key``."""
     geometry = _Geometry(obj.key, obj)
     try:
-        return memo(geometry, *args)
+        return memo(geometry)
     finally:
         geometry.obj = None
 

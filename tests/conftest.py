@@ -9,7 +9,7 @@ from fthub.lattice import (LatticeGraph, SiteInfo, _edge_tuple, build_hex_fragme
                            ring_lattice, single_hexagon)
 from fthub.tiling import (_CATALOG, CoverError, CoverReport, Section, SectionCover, Tile,
                           check_cover_dims, cover_hex_fragment, cover_periodic_hex)
-from fthub.pauli import PauliSum
+from fthub.pauli import PauliSum, _parity
 from fthub.qubitization import walk_costs
 from fthub.trotterbounds import ModelParams
 
@@ -70,8 +70,25 @@ def pauli_word(n_qubits, word, coeff=1.0):
     return PauliSum(n_qubits, {(x, z): coeff * phase})
 
 
+def identity(n_qubits, coeff=1.0):
+    return PauliSum(n_qubits, {(0, 0): coeff})
+
+
+def dagger(op):
+    """The adjoint: (X^x Z^z)^H = Z^z X^x = (-1)^(x.z) X^x Z^z."""
+    out = PauliSum(op.n_qubits)
+    for (x, z), c in op.terms.items():
+        sign = -1.0 if _parity(x & z) else 1.0
+        out._iadd_term((x, z), sign * np.conj(c))
+    return out
+
+
+def is_zero(op, tol=1e-12):
+    return all(abs(c) <= tol for c in op.terms.values())
+
+
 def is_hermitian(op, tol=1e-12):
-    return (op - op.dagger()).is_zero(tol)
+    return is_zero(op - dagger(op), tol)
 
 
 def number_op(n_qubits, p):
@@ -88,7 +105,7 @@ def exact_spectral_norm(op):
     no symmetry map; an operator that mixes sectors is one block over the
     whole space.
     """
-    if op.is_zero():
+    if is_zero(op):
         return 0.0
     if not is_hermitian(op):
         raise ValueError("operator must be Hermitian")
@@ -279,17 +296,16 @@ def loop_crossover_sweep(w_by_n, rule_name, eps_rule, l_values,
 
 
 def clear_oracle_memos():
-    """Empty the oracle's sector-analysis memos.  A test that patches an
+    """Empty the oracle's sector-analysis memo.  A test that patches an
     oracle function the analysis calls (``_symmetry_maps``,
-    ``_adapted_bases``, ``jw_section``, ...) clears them before and after
-    the patched calls, so no entry crosses the patch."""
-    oracle._commuting_maps.cache_clear()
+    ``_adapted_bases``, ``jw_section``, ``jw_neighbor``, ...) clears it
+    before and after the patched calls, so no entry crosses the patch."""
     oracle._sector_bases.cache_clear()
 
 
 def clear_geometry_memos():
     """Empty every memoized norm of ``trotterbounds`` and the oracle's
-    sector-analysis memos."""
+    sector-analysis memo."""
     for memo in vars(trotterbounds).values():
         if hasattr(memo, "cache_clear"):
             memo.cache_clear()

@@ -205,6 +205,22 @@ class TestSmallCommands:
         assert "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("command", ["bounds", "gates"])
+    @pytest.mark.parametrize("flag,message", [
+        ("--cover", "error: cover document is not JSON: Expecting value"),
+        ("--cells", "error: --cells is not JSON: Expecting value"),
+    ])
+    def test_input_that_is_not_json_exit_2(self, capsys, tmp_path, command,
+                                           flag, message):
+        path = tmp_path / "bad.json"
+        path.write_text("not json")
+        value = str(path) if flag == "--cover" else path.read_text()
+        assert run_cli([command, "--lattice", "hex_fragment",
+                        f"{flag}={value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
     @pytest.mark.parametrize("flags,message", [
         (["--model", "extended_hubbard"], "costs only the hubbard model"),
         (["--model", "ppp"], "costs only the hubbard model"),
@@ -562,6 +578,29 @@ class TestVerify:
         doc = json.loads(out.read_text())
         failing = [r["check"] for r in doc["reports"] if not r["pass"]]
         assert "ff_norm" in failing
+
+    def test_full_pass_values_are_json_booleans(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--level", "full", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["n_checks"] == len(doc["reports"]) == 105
+        # numpy bounds and deviations once made some of them 1.0
+        assert all(r["pass"] is True for r in doc["reports"])
+
+    def test_forced_failure_writes_false(self, tmp_path, monkeypatch):
+        # a doubled on-site term breaks the on-site chemical shift, whose
+        # deviation is a numpy float
+        import fthub.oracle as oracle
+        real = oracle.jw_onsite
+        monkeypatch.setattr(oracle, "jw_onsite",
+                            lambda lattice, u: real(lattice, 2 * u))
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--level", "fast", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert all(type(r["pass"]) is bool for r in doc["reports"])
+        failing = {r["check"] for r in doc["reports"] if r["pass"] is False}
+        assert failing == {"chemical_shift_onsite"}
+        assert doc["all_pass"] is False
 
 
 # JSON documents of the shape of a cell list, and near misses of it

@@ -10,8 +10,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from conftest import (clear_oracle_memos, exact_spectral_norm, number_op,
-                      pauli_word)
+from conftest import (clear_oracle_memos, dagger, exact_spectral_norm,
+                      identity, number_op, pauli_word)
 from fthub.freefermion import schatten1
 from fthub import oracle
 from fthub.lattice import (LatticeGraph, SiteInfo, build_periodic_hex,
@@ -29,6 +29,12 @@ from fthub.pauli import PauliSum
 from fthub.tiling import cover_hex_fragment
 from fthub.trotterbounds import (BoundUnsupportedError, ModelParams,
                                  TrotterErrorBreakdown, w_tile)
+
+
+def sector_bases(owner):
+    """The memoized block bases of a lattice or cover, as the checks get
+    them."""
+    return oracle._memoized(oracle._sector_bases, owner)
 
 
 def two_site_chain():
@@ -60,7 +66,7 @@ class TestJwBuilders:
         op = transfer_term(2, 0, 1, 1.0)
         dense = op.to_dense()
         assert np.abs(dense + dense.conj().T
-                      - (op + op.dagger()).to_dense()).max() < 1e-14
+                      - (op + dagger(op)).to_dense()).max() < 1e-14
 
     def test_size_guard(self):
         lat = ring_lattice(9)
@@ -70,7 +76,7 @@ class TestJwBuilders:
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert exact_spectral_norm(PauliSum.identity(4)) == pytest.approx(1.0)
+        assert exact_spectral_norm(identity(4)) == pytest.approx(1.0)
 
     def test_matches_dense_eigensolve(self):
         rng = np.random.default_rng(5)
@@ -79,7 +85,7 @@ class TestSpectralNorm:
             term = PauliSum(3, {(int(rng.integers(8)), int(rng.integers(8))):
                                 complex(*rng.standard_normal(2))})
             op = op + term
-        op = op + op.dagger()
+        op = op + dagger(op)
         expected = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
         assert exact_spectral_norm(op) == pytest.approx(expected, rel=1e-8)
 
@@ -129,7 +135,7 @@ class TestSectorBlocks:
         for _ in range(12):
             op = op + PauliSum(5, {(int(rng.integers(32)), int(rng.integers(32))):
                                    complex(*rng.standard_normal(2))})
-        op = op + op.dagger()
+        op = op + dagger(op)
         expected = np.abs(np.linalg.eigvalsh(op.to_dense())).max()
         assert exact_spectral_norm(op) == pytest.approx(expected, rel=1e-10)
 
@@ -577,9 +583,7 @@ class TestParityBases:
         maps = oracle._symmetry_maps(lattice)
         self.both_of_each_pair(monkeypatch)
         groups = op.compile()
-        bases = oracle._spin_sectors(lattice, [
-            oracle._diag_of_z_sum(jw_onsite(lattice, 4.0)),
-            oracle._diag_of_z_sum(jw_neighbor(lattice, 2.0))])
+        bases = sector_bases(lattice)
         by_sector = {}
         for basis in bases:
             by_sector.setdefault(int(labels[basis[0][0, 0]]), []).append(basis)
@@ -655,7 +659,7 @@ class TestParityBases:
         assert all(oracle._commutes(hop.compile(), *m)
                    for m in broken_maps(lattice))
         labels = oracle._spin_labels(8)
-        bases = oracle._spin_sectors(lattice, [])
+        bases = sector_bases(lattice)
         refused = 1 * 9 + 1 if broken == "square" else 2 * 9 + 2
         whole = [b for b in bases if labels[b[0][0, 0]] == refused]
         assert len(whole) == 1
@@ -819,11 +823,11 @@ class TestMomentumBlocks:
         dim = 1 << 12
         t_list = (0.05, 0.1, 0.2)
         groups = [op.compile() for _, op in pieces]
-        halved = oracle._spin_sectors(hexagon_cover, [c_diag])
+        halved = sector_bases(hexagon_cover)
         with monkeypatch.context() as m:
             TestParityBases.both_of_each_pair(m)
             clear_oracle_memos()
-            bases = oracle._spin_sectors(hexagon_cover, [c_diag])
+            bases = sector_bases(hexagon_cover)
         clear_oracle_memos()
         # conj(chi) has the conjugate coefficients, to rounding
         pairs = [(a, b) for a in bases for b in bases
@@ -957,10 +961,10 @@ class TestTransientMemory:
 
 
 class TestSectorMemo:
-    """The sector analysis of a lattice (its hopping operator) or a cover
-    (that and each section) is memoized by the owner's ``key`` and the
-    numbers of the kept maps; blocks are built on every call from the
-    caller's own tau-scaled operators."""
+    """The sector analysis of a lattice (its hopping operator and unit
+    Coulomb diagonals) or a cover (those and each section) is memoized by
+    the owner's ``key`` alone; blocks are built on every call from the
+    caller's own tau-scaled operators and (U, V)-scaled diagonals."""
 
     TAUS = (0.5, 0.7, 1.0)
     POINTS = ((0.0, 0.0), (2.0, 1.0), (4.0, 3.0), (1.0, 4.0))
@@ -1008,23 +1012,51 @@ class TestSectorMemo:
             "extended_hubbard", tau=1.0, u=2.0, v=1.0))
         info = oracle._sector_bases.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        assert oracle._commuting_maps.cache_info().currsize == 1
 
-    def test_broken_diagonal_gets_its_own_entry(self, hexagon, monkeypatch):
+    def test_broken_unit_diagonal_keeps_no_map(self, hexagon, monkeypatch):
         params = ModelParams("extended_hubbard", tau=0.7, u=2.0, v=1.0)
         whole = verify_commutator_bounds(hexagon, params)
         real = oracle.jw_neighbor
-        # a lone Z on qubit 0 leaves the diagonal unequal under every map
+        # a lone Z on qubit 0, patched before a cold memo, leaves the unit
+        # neighbor diagonal unequal under every map: the entry keeps none,
+        # and each of the 7 x 7 sectors is one whole block
         monkeypatch.setattr(oracle, "jw_neighbor", lambda lattice, v: real(
             lattice, v) + PauliSum(2 * lattice.n_sites, {(0, 1): 0.3}))
-        broken = verify_commutator_bounds(hexagon, params)
-        info = oracle._sector_bases.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
         clear_oracle_memos()
-        assert repr(verify_commutator_bounds(hexagon, params)) == repr(broken)
+        assert len(sector_bases(hexagon)) == 49
+        broken = verify_commutator_bounds(hexagon, params)
+        plain = TestSectorSymmetries.plain(monkeypatch,
+                                           verify_commutator_bounds,
+                                           hexagon, params)
+        assert repr(broken) == repr(plain)
         assert broken != whole
         monkeypatch.undo()
+        clear_oracle_memos()
         assert repr(verify_commutator_bounds(hexagon, params)) == repr(whole)
+
+    def test_torus_keeps_every_map(self, monkeypatch):
+        # the only 3-regular lattice the oracle checks, and so the only
+        # exact check of the tabulated VHH constant: spin flip,
+        # particle-hole, their product and the two cell translations all
+        # commute with the hopping operator and leave both unit diagonals
+        # equal
+        torus = build_periodic_hex(2, 2)
+        real = oracle._sector_sets
+        kept = []
+
+        def record(labels, maps=()):
+            kept.append(len(maps))
+            return real(labels, maps)
+
+        monkeypatch.setattr(oracle, "_sector_sets", record)
+        reports = verify_commutator_bounds(torus, ModelParams(
+            "extended_hubbard", tau=1.0, u=2.0, v=2.0))
+        assert kept == [len(oracle._symmetry_maps(torus))] == [5]
+        assert all(r["pass"] is True for r in reports)
+        exact = {r["check"]: r["exact"] for r in reports}
+        assert exact == pytest.approx({"comm_CHC": 408.00468,
+                                       "comm_IHH": 133.19716,
+                                       "comm_VHH": 492.67913}, rel=1e-6)
 
     def test_no_lattice_kept_alive(self):
         lattice = ring_lattice(6)
@@ -1046,7 +1078,7 @@ class TestSectorMemo:
         verify_trotter_step(*self.step_args(hexagon, hexagon_cover,
                                             "hubbard", 1.0, 4.0, 0.0))
         for owner in (hexagon, hexagon_cover):
-            bases = oracle._spin_sectors(owner, [])
+            bases = sector_bases(owner)
             # one slot row per group element and one column per state:
             # linear in the 4096 states, with no n x n block
             for states, coefs in bases:
@@ -1074,6 +1106,70 @@ class TestSectorMemo:
         # an equal lattice built anew is the same geometry
         verify_trotter_step(*self.step_args(single_hexagon(), hexagon_cover,
                                             "hubbard", 1.0, 4.0, 0.0))
+
+
+class TestUnitDiagonals:
+    """Every Coulomb diagonal is U D_on + V D_nb, scaled from the unit
+    diagonals after the memo lookup: the diagonal of the Pauli sum built at
+    (U, V), bit for bit where the couplings are dyadic."""
+
+    COUPLINGS = (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)
+
+    @staticmethod
+    def pauli_diag(*ops):
+        return oracle._diag_of_z_sum(sum(ops[1:], ops[0]))
+
+    @pytest.mark.parametrize("name", ["ring4", "ring6", "hexagon", "torus"])
+    def test_scaled_equals_the_pauli_diagonal(self, request, name):
+        lattice = (build_periodic_hex(2, 2) if name == "torus"
+                   else request.getfixturevalue(name))
+        d_on, d_nb = oracle._unit_diags(lattice)
+        onsite = {u: jw_onsite(lattice, u) for u in self.COUPLINGS}
+        neighbor = {v: jw_neighbor(lattice, v) for v in self.COUPLINGS}
+        for u in self.COUPLINGS:
+            # tobytes tells the sign of zero apart
+            assert (oracle._scaled(u, d_on).tobytes()
+                    == self.pauli_diag(onsite[u]).tobytes())
+            assert (oracle._scaled(u, d_nb).tobytes()
+                    == self.pauli_diag(neighbor[u]).tobytes())
+            for v in self.COUPLINGS:
+                both = oracle._scaled(u, d_on) + oracle._scaled(v, d_nb)
+                assert both.tobytes() == self.pauli_diag(
+                    onsite[u], neighbor[v]).tobytes(), (u, v)
+        # a non-dyadic coupling rounds once, against once per term
+        for scaled, want in ((oracle._scaled(0.3, d_on),
+                              self.pauli_diag(jw_onsite(lattice, 0.3))),
+                             (oracle._scaled(0.7, d_nb),
+                              self.pauli_diag(jw_neighbor(lattice, 0.7))),
+                             (oracle._scaled(0.3, d_on)
+                              + oracle._scaled(0.7, d_nb),
+                              self.pauli_diag(jw_onsite(lattice, 0.3),
+                                              jw_neighbor(lattice, 0.7)))):
+            assert np.abs(scaled - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("model", ["hubbard", "extended_hubbard"])
+    def test_step_takes_the_model_diagonal(self, hexagon, hexagon_cover,
+                                           monkeypatch, model):
+        # the on-site model reads no V
+        params = ModelParams(model, tau=1.0, u=2.0, v=1.0)
+        coulomb = [jw_onsite(hexagon, 2.0)]
+        if model == "extended_hubbard":
+            coulomb.append(jw_neighbor(hexagon, 1.0))
+        seen = []
+        real = oracle._step_errors
+
+        def record(groups, basis, dim, c_diag, t_list):
+            seen.append((groups[0][0], c_diag))
+            return real(groups, basis, dim, c_diag, t_list)
+
+        monkeypatch.setattr(oracle, "_step_errors", record)
+        verify_trotter_step(*TestSectorMemo.step_args(
+            hexagon, hexagon_cover, model, 1.0, 2.0, 1.0))
+        want = self.pauli_diag(*coulomb)
+        group, c_diag = seen[0]
+        # H's diagonal group is the Coulomb diagonal itself, last in order
+        assert group is c_diag and c_diag.tobytes() == want.tobytes()
+        assert all(g is c for g, c in seen)
 
 
 class TestBlockScatter:
@@ -1145,7 +1241,7 @@ class TestBlockScatter:
         for x, z in rng.integers(16, size=(24, 2)):
             op = op + PauliSum(4, {(int(x), int(z)):
                                    complex(*rng.standard_normal(2))})
-        op = op + op.dagger()
+        op = op + dagger(op)
         states = np.array([[3, 6, 10], [3, 7, 12], [5, 7, 12], [9, 7, 15]])
         coefs = rng.standard_normal(states.shape)
         q = TestParityBases.dense((states, coefs), 16)
@@ -1197,16 +1293,18 @@ class TestSuite:
                      for u in (0.0, 2.0, 4.0) for v in (0.0, 2.0, 4.0)
                      for check in ("comm_CHC", "comm_IHH", "comm_VHH")]
         expected += [("trotter_step", f"t={t}") for t in (0.05, 0.1, 0.2)]
-        real = oracle._spin_sectors
+        real = oracle._memoized
         calls = []
-        monkeypatch.setattr(oracle, "_spin_sectors", lambda owner, diags:
-                            calls.append((type(owner).__name__,
-                                          oracle._lattice_of(owner).kind))
-                            or real(owner, diags))
+        monkeypatch.setattr(oracle, "_memoized", lambda memo, owner:
+                            calls.append((type(owner).__name__, getattr(
+                                owner, "lattice", owner).kind))
+                            or real(memo, owner))
         reports = run_suite("full")
         assert len(expected) == 105
         assert [(r["check"], r["instance"]) for r in reports] == expected
-        assert [bool(r["pass"]) for r in reports] == [True] * 105
+        # Python bools, which JSON writes as true
+        assert [r["pass"] for r in reports] == [True] * 105
+        assert all(type(r["pass"]) is bool for r in reports)
         lattices = [("LatticeGraph", kind) for kind in (
             "ring", "hex_fragment", "ring", "ring", "hex_fragment")]
         assert calls == lattices + [("SectionCover", "hex_fragment")]
@@ -1215,7 +1313,6 @@ class TestSuite:
         # cover are analysed once each
         info = oracle._sector_bases.cache_info()
         assert (info.misses, info.hits) == (4, 2)
-        assert oracle._commuting_maps.cache_info().misses == 4
 
     def test_level_guard(self):
         with pytest.raises(ValueError):
